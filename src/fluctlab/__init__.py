@@ -8,12 +8,8 @@ decomposition and the entropy-change law to numerical tolerance.
 """
 
 from .channels import (
-    BackwardChannel,
-    Dilation,
     KrausChannel,
     UnitalityCheck,
-    backward_of,
-    dilate,
     haar_unitary,
     is_unital,
     preset,
@@ -23,20 +19,16 @@ from .channels import (
 )
 from .distributions import (
     EnergyDistribution,
-    TransitionTable,
-    backward_distribution,
     crooks_residual,
     exp_average,
-    forward_distribution,
     gamma_of,
     kl_divergence,
     renormalize_backward,
-    transition_table,
+    tpm_distributions,
     write_distribution_csv,
 )
 from .errors import (
     DimensionMismatch,
-    DomainError,
     FluctLabError,
     InvalidBeta,
     NotHermitian,
@@ -50,13 +42,7 @@ from .errors import (
     UnknownPreset,
     ZeroMass,
 )
-from .linalg import (
-    SpectralDecomposition,
-    hermitian_eig,
-    kron,
-    matrix_function,
-    partial_trace_ancilla,
-)
+from .linalg import SpectralDecomposition, hermitian_eig
 from .scenario import (
     BatchSpec,
     Scenario,
@@ -82,7 +68,6 @@ from .thermo import (
     excess_energy,
     internal_energy_change,
     scenario_artifacts,
-    von_neumann_change,
 )
 
 __version__ = "0.1.0"

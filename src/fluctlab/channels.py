@@ -1,18 +1,12 @@
 """CPTP channels in Kraus form.
 
-Validation, unitality detection, application to density matrices, unitary
-(Stinespring-type) dilation, the canonical backward process and a preset
-catalog including non-unital cooling channels.
-
-Conventions: the composite space is ordered system (x) ancilla, the ancilla
-starts in |0>, and the Kraus operators of a dilation U are A_l = <l|U|0>
-(ancilla indices). The canonical backward process reuses the forward
-dilation, which makes it the adjoint channel rho -> sum_l A_l^dag rho A_l.
+Validation, unitality detection, application to density matrices and a
+preset catalog including non-unital cooling channels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -61,38 +55,6 @@ class KrausChannel:
         return s
 
 
-@dataclass(frozen=True)
-class BackwardChannel:
-    """Backward (time-reversed) process rho' -> sum_l B_l^dag rho' B_l.
-
-    Always unital as a dual map (sum_l B_l^dag B_l = identity when built
-    from a trace-preserving forward channel); trace preserving exactly when
-    the forward channel is unital.
-    """
-
-    ops: tuple
-    trace_preserving: bool
-
-    @property
-    def dim(self) -> int:
-        return int(self.ops[0].shape[0])
-
-    @property
-    def n_ops(self) -> int:
-        return len(self.ops)
-
-    def apply(self, rho_final) -> np.ndarray:
-        a = as_complex_matrix(rho_final)
-        if a.shape != (self.dim, self.dim):
-            raise DimensionMismatch(
-                f"state shape {a.shape} does not match channel dimension {self.dim}"
-            )
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for b in self.ops:
-            out += b.conj().T @ a @ b
-        return out
-
-
 class UnitalityCheck(NamedTuple):
     unital: bool
     deviation: float
@@ -129,84 +91,6 @@ def is_unital(c: KrausChannel) -> UnitalityCheck:
     """True iff sum_l A_l A_l^dag = identity; the deviation is always reported."""
     dev = float(np.max(np.abs(c.kraus_sum() - np.eye(c.dim))))
     return UnitalityCheck(unital=dev < UNITAL_TOL, deviation=dev)
-
-
-@dataclass(frozen=True)
-class Dilation:
-    """Unitary on system (x) ancilla reproducing the channel from ancilla |0>."""
-
-    unitary: np.ndarray
-    d_sys: int
-    d_anc: int
-
-    def recovered_kraus(self) -> tuple:
-        """Read back A_l = <l|U|0> from the dilation unitary."""
-        u = self.unitary.reshape(self.d_sys, self.d_anc, self.d_sys, self.d_anc)
-        return tuple(u[:, ell, :, 0].copy() for ell in range(self.d_anc))
-
-
-def _complete_isometry(w: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns w (D x k) to a full D x D unitary.
-
-    Gram-Schmidt over the standard basis, pivoting on the candidate with
-    the largest remaining norm, with one re-orthogonalization pass per
-    accepted column for stability near degenerate Kraus lists.
-    """
-    big_d, k = w.shape
-    cols = np.zeros((big_d, big_d), dtype=complex)
-    cols[:, :k] = w
-    resid = np.eye(big_d, dtype=complex)
-    resid -= w @ (w.conj().T @ resid)
-    resid -= w @ (w.conj().T @ resid)
-    avail = np.ones(big_d, dtype=bool)
-    for t in range(k, big_d):
-        norms = np.linalg.norm(resid, axis=0)
-        norms[~avail] = -1.0
-        pick = int(np.argmax(norms))
-        q = resid[:, pick] / norms[pick]
-        q = q - cols[:, :t] @ (cols[:, :t].conj().T @ q)
-        q /= np.linalg.norm(q)
-        cols[:, t] = q
-        avail[pick] = False
-        resid -= np.outer(q, q.conj() @ resid)
-    return cols
-
-
-def dilate(c: KrausChannel) -> Dilation:
-    """Unitary dilation of the channel with the ancilla starting in |0>.
-
-    The isometry column block sends |psi>(x)|0> to sum_l (A_l|psi>)(x)|l>
-    and is completed to a full unitary by orthonormal extension; the
-    remaining columns (ancilla inputs other than |0>) are arbitrary and
-    filled in ascending column order.
-    """
-    d, d_anc = c.dim, c.n_kraus
-    big_d = d * d_anc
-    w = np.zeros((big_d, d), dtype=complex)
-    w3 = w.reshape(d, d_anc, d)
-    for ell, a in enumerate(c.kraus_ops):
-        w3[:, ell, :] = a
-    anchors = [j * d_anc for j in range(d)]
-    u = np.zeros((big_d, big_d), dtype=complex)
-    u[:, anchors] = w
-    if big_d > d:
-        extra = _complete_isometry(w)[:, d:]
-        others = [j for j in range(big_d) if j % d_anc != 0]
-        u[:, others] = extra
-    return Dilation(unitary=u, d_sys=d, d_anc=d_anc)
-
-
-def backward_of(c: KrausChannel) -> BackwardChannel:
-    """Canonical backward process of a channel.
-
-    Reusing the forward dilation unitary yields B_l = A_l, i.e. the adjoint
-    (dual) channel rho' -> sum_l A_l^dag rho' A_l. This choice needs no
-    extra data and meets the consistency requirement
-    tr[sum_l B_l B_l^dag rho'_eq] = gamma identically. Externally supplied
-    op lists can be wrapped in BackwardChannel directly for experimentation.
-    """
-    flag = is_unital(c).unital
-    return BackwardChannel(ops=tuple(k.copy() for k in c.kraus_ops), trace_preserving=flag)
 
 
 # ---------------------------------------------------------------------------

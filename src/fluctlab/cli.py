@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .channels import is_unital
+from .channels import UnitalityCheck, is_unital
 from .distributions import write_distribution_csv
 from .errors import FluctLabError, ScenarioError, UnknownParam
 from .scenario import (
@@ -30,6 +30,8 @@ from .scenario import (
     scenario_from_dict,
 )
 from .thermo import (
+    REPORT_FIELDS,
+    RESIDUAL_KEYS,
     FluctuationReport,
     fmt,
     report_csv_header,
@@ -67,9 +69,15 @@ def _threshold(args, scenario: Scenario | None = None) -> float:
     return 1e-8
 
 
+def _load_scenario(args) -> Scenario:
+    doc = _load_json(args.scenario_file)
+    if args.seed is not None and isinstance(doc, dict):
+        doc["seed"] = int(args.seed)
+    return scenario_from_dict(doc)
+
+
 def _summary_text(scenario: Scenario, report: FluctuationReport,
-                  threshold: float) -> str:
-    check = is_unital(scenario.channel)
+                  threshold: float, check: UnitalityCheck) -> str:
     lines = [
         f"scenario: {scenario.name}",
         f"dim: {scenario.dim}",
@@ -79,12 +87,11 @@ def _summary_text(scenario: Scenario, report: FluctuationReport,
         f"unital: {str(check.unital).lower()} (deviation {fmt(check.deviation)})",
         "",
     ]
-    for name in ("delta_u", "delta_u_moment", "delta_f", "gamma", "x", "kl",
-                 "excess_energy", "delta_s", "delta_s_v", "s_r_final"):
+    for name in REPORT_FIELDS:
         lines.append(f"{name:24s} = {fmt(getattr(report, name))}")
     lines.append("")
     lines.append(f"residuals (threshold {fmt(threshold)}):")
-    for name in sorted(report.residuals):
+    for name in sorted(RESIDUAL_KEYS):
         value = report.residuals[name]
         verdict = "PASS" if value < threshold else "FAIL"
         lines.append(f"  {name:24s} {fmt(value):26s} {verdict}")
@@ -94,25 +101,22 @@ def _summary_text(scenario: Scenario, report: FluctuationReport,
 
 
 def cmd_run(args) -> int:
-    doc = _load_json(args.scenario_file)
-    scenario = scenario_from_dict(doc)
-    if args.seed is not None:
-        doc["seed"] = int(args.seed)
-        scenario = scenario_from_dict(doc)
+    scenario = _load_scenario(args)
     threshold = _threshold(args, scenario)
 
     artifacts = scenario_artifacts(scenario)
     report = artifacts.report
+    check = is_unital(scenario.channel)
 
     os.makedirs(args.out, exist_ok=True)
     header = {"name": scenario.name, "dim": scenario.dim,
               "beta": float(scenario.beta), "seed": scenario.seed,
-              "unital": bool(is_unital(scenario.channel).unital)}
+              "unital": bool(check.unital)}
     with open(os.path.join(args.out, "report.json"), "w", newline="") as fh:
         fh.write(report_to_json(report, header=header))
     write_distribution_csv(artifacts.forward, os.path.join(args.out, "pf.csv"))
     write_distribution_csv(artifacts.backward, os.path.join(args.out, "pb.csv"))
-    summary = _summary_text(scenario, report, threshold)
+    summary = _summary_text(scenario, report, threshold, check)
     with open(os.path.join(args.out, "summary.txt"), "w", newline="") as fh:
         fh.write(summary)
 
@@ -159,11 +163,7 @@ def _sweep_scenarios(base: Scenario, param: str, values: list) -> list:
 
 
 def cmd_sweep(args) -> int:
-    doc = _load_json(args.scenario_file)
-    base = scenario_from_dict(doc)
-    if args.seed is not None:
-        doc["seed"] = int(args.seed)
-        base = scenario_from_dict(doc)
+    base = _load_scenario(args)
     threshold = _threshold(args, base)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]

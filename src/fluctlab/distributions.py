@@ -6,9 +6,11 @@ delta-atom of weight p(n|m) <E_m|rho_eq|E_m> with
 
     p(n|m) = sum_l |<E'_n| A_l |E_m>|^2.
 
-The backward process runs the adjoint construction from the thermal state
-of the final Hamiltonian; its atoms live on the same DeltaU axis so the
-two distributions align index-to-index, and its total mass is gamma, the
+The canonical backward process reuses the forward Kraus operators
+(B_l = A_l), so its transition table is the forward one re-weighted by the
+final thermal populations: p(n|m) <E'_n|rho'_eq|E'_n>. Both distributions
+therefore come from one table and one binning, live on the same DeltaU axis
+and align index-to-index; the backward total mass is gamma, the
 non-unitality correction tr[sum_l A_l A_l^dag rho'_eq].
 
 Delta-distributions are represented as finite atom lists. Floating-point
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import BackwardChannel, KrausChannel
+from .channels import KrausChannel
 from .errors import DimensionMismatch, SupportMismatch, ZeroMass
 from .states import Hamiltonian, ThermalState
 
@@ -54,25 +56,8 @@ class EnergyDistribution:
     def n_atoms(self) -> int:
         return int(self.delta_u.shape[0])
 
-    def atoms(self) -> list:
-        return [(float(x), float(w)) for x, w in zip(self.delta_u, self.mass)]
-
     def first_moment(self) -> float:
         return float((self.delta_u * self.mass).sum())
-
-
-@dataclass(frozen=True)
-class TransitionTable:
-    """Eigenbasis transition data behind a distribution.
-
-    probs[n, m] = p(n|m); each column sums to 1 by trace preservation.
-    gaps[n, m] = E'_n - E_m. initial_pops are the thermal weights of the
-    measured initial eigenstates.
-    """
-
-    probs: np.ndarray
-    initial_pops: np.ndarray
-    gaps: np.ndarray
 
 
 def default_bin_tolerance(h_initial: Hamiltonian, h_final: Hamiltonian,
@@ -81,31 +66,36 @@ def default_bin_tolerance(h_initial: Hamiltonian, h_final: Hamiltonian,
     return BIN_TOL_BASE * max(1.0, span) * float(scale)
 
 
+def _bin_sums(a: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Sum a along axis 0 over the bins that start at heads.
+
+    reduceat starts each bin from its first element, ndarray.sum from 0; a
+    zero put ahead of every bin makes the two agree to the last bit.
+    """
+    padded = np.insert(a, heads, 0.0, axis=0)
+    return np.add.reduceat(padded, heads + np.arange(len(heads)), axis=0)
+
+
 def _bin_atoms(gaps: np.ndarray, weights: np.ndarray, tol: float):
-    """Merge delta-atoms whose positions chain within tol of each other."""
+    """Merge delta-atoms whose positions chain within tol of each other.
+
+    weights has one column per distribution; every column shares the bins,
+    and each keeps its own mass-weighted bin positions.
+    """
     order = np.argsort(gaps, kind="stable")
     g = gaps[order]
     w = weights[order]
-    starts = [0]
-    for i in range(1, len(g)):
-        if g[i] - g[i - 1] > tol:
-            starts.append(i)
-    starts.append(len(g))
-    positions = np.empty(len(starts) - 1)
-    masses = np.empty(len(starts) - 1)
-    for k in range(len(starts) - 1):
-        lo, hi = starts[k], starts[k + 1]
-        total = float(w[lo:hi].sum())
-        masses[k] = max(total, 0.0)
-        if total > 0.0:
-            positions[k] = float((g[lo:hi] * w[lo:hi]).sum()) / total
-        else:
-            positions[k] = float(g[lo:hi].mean())
+    heads = np.concatenate(([0], np.flatnonzero(np.diff(g) > tol) + 1))
+    masses = _bin_sums(w, heads)
+    moments = _bin_sums(g[:, np.newaxis] * w, heads)
+    means = _bin_sums(g, heads) / np.diff(np.append(heads, len(g)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        positions = np.where(masses > 0.0, moments / masses, means[:, np.newaxis])
     return positions, masses
 
 
-def _distribution(gaps: np.ndarray, weights: np.ndarray, tol: float) -> EnergyDistribution:
-    positions, masses = _bin_atoms(gaps.ravel(), weights.ravel(), tol)
+def _distribution(positions: np.ndarray, masses: np.ndarray,
+                  tol: float) -> EnergyDistribution:
     return EnergyDistribution(
         delta_u=positions,
         mass=masses,
@@ -114,56 +104,34 @@ def _distribution(gaps: np.ndarray, weights: np.ndarray, tol: float) -> EnergyDi
     )
 
 
-def transition_table(c: KrausChannel, init: ThermalState,
-                     h_final: Hamiltonian) -> TransitionTable:
-    """Transition probabilities and gaps between the two measured eigenbases."""
-    if c.dim != init.dim or c.dim != h_final.dim:
-        raise DimensionMismatch(
-            f"channel dim {c.dim}, initial state dim {init.dim}, "
-            f"final Hamiltonian dim {h_final.dim} must agree"
-        )
-    vi = init.hamiltonian.spectrum.eigenvectors
-    vf = h_final.spectrum.eigenvectors
-    probs = np.zeros((c.dim, c.dim))
-    for a in c.kraus_ops:
-        m = vf.conj().T @ a @ vi
-        probs += np.abs(m) ** 2
-    gaps = np.subtract.outer(h_final.energies, init.hamiltonian.energies)
-    return TransitionTable(probs=probs, initial_pops=init.populations.copy(), gaps=gaps)
+def tpm_distributions(c: KrausChannel, init_eq: ThermalState, final_eq: ThermalState,
+                      bin_tol_scale: float = 1.0
+                      ) -> tuple[EnergyDistribution, EnergyDistribution]:
+    """Forward P_F (total mass 1) and the unnormalized backward distribution.
 
-
-def forward_distribution(c: KrausChannel, init: ThermalState, h_final: Hamiltonian,
-                         bin_tol_scale: float = 1.0) -> EnergyDistribution:
-    """Forward two-point-measurement distribution P_F; total mass 1."""
-    table = transition_table(c, init, h_final)
-    weights = table.probs * table.initial_pops[np.newaxis, :]
-    tol = default_bin_tolerance(init.hamiltonian, h_final, bin_tol_scale)
-    return _distribution(table.gaps, weights, tol)
-
-
-def backward_distribution(b: BackwardChannel, final_eq: ThermalState,
-                          h_initial: Hamiltonian,
-                          bin_tol_scale: float = 1.0) -> EnergyDistribution:
-    """Unnormalized backward distribution; total mass equals gamma.
-
-    Atoms are stored on the forward DeltaU axis (at E'_n - E_m, not its
-    negative) so that forward and backward supports align index-to-index.
+    Both come from one table p(n|m) and one binning of its gaps, so their
+    atoms line up index-to-index. The backward atoms are stored on the
+    forward DeltaU axis (at E'_n - E_m, not its negative); their total mass
+    is gamma.
     """
-    if b.dim != final_eq.dim or b.dim != h_initial.dim:
+    if c.dim != init_eq.dim or c.dim != final_eq.dim:
         raise DimensionMismatch(
-            f"backward channel dim {b.dim}, final state dim {final_eq.dim}, "
-            f"initial Hamiltonian dim {h_initial.dim} must agree"
+            f"channel dim {c.dim}, initial state dim {init_eq.dim}, "
+            f"final state dim {final_eq.dim} must agree"
         )
-    vi = h_initial.spectrum.eigenvectors
-    vf = final_eq.hamiltonian.spectrum.eigenvectors
-    probs = np.zeros((b.dim, b.dim))
-    for op in b.ops:
-        m = vf.conj().T @ op @ vi
-        probs += np.abs(m) ** 2
-    weights = probs * final_eq.populations[:, np.newaxis]
-    gaps = np.subtract.outer(final_eq.hamiltonian.energies, h_initial.energies)
-    tol = default_bin_tolerance(h_initial, final_eq.hamiltonian, bin_tol_scale)
-    return _distribution(gaps, weights, tol)
+    h_i, h_f = init_eq.hamiltonian, final_eq.hamiltonian
+    vf_dag = h_f.spectrum.eigenvectors.conj().T
+    amps = vf_dag @ np.stack(c.kraus_ops) @ h_i.spectrum.eigenvectors
+    probs = (np.abs(amps) ** 2).sum(axis=0)
+    weights = np.stack([
+        (probs * init_eq.populations[np.newaxis, :]).ravel(),
+        (probs * final_eq.populations[:, np.newaxis]).ravel(),
+    ], axis=1)
+    gaps = np.subtract.outer(h_f.energies, h_i.energies).ravel()
+    tol = default_bin_tolerance(h_i, h_f, bin_tol_scale)
+    positions, masses = _bin_atoms(gaps, weights, tol)
+    return (_distribution(positions[:, 0], masses[:, 0], tol),
+            _distribution(positions[:, 1], masses[:, 1], tol))
 
 
 def gamma_of(c: KrausChannel, final_eq: ThermalState) -> float:
@@ -201,83 +169,69 @@ def exp_average(p: EnergyDistribution, coefficient: float, offset: float = 0.0) 
     return float((p.mass[live] * np.exp(coefficient * p.delta_u[live] + offset)).sum())
 
 
-def _match_atoms(pf: EnergyDistribution, pb: EnergyDistribution):
-    """Pair atoms of two distributions by position within bin tolerance.
-
-    Yields (position, forward mass or None, backward mass or None); a None
-    marks an atom with no partner on the other side.
-    """
-    tol = max(pf.bin_tolerance, pb.bin_tolerance)
-    i = j = 0
-    pairs = []
-    while i < pf.n_atoms and j < pb.n_atoms:
-        xf, xb = pf.delta_u[i], pb.delta_u[j]
-        if abs(xf - xb) <= tol:
-            pairs.append((float(xf), float(pf.mass[i]), float(pb.mass[j])))
-            i += 1
-            j += 1
-        elif xf < xb:
-            pairs.append((float(xf), float(pf.mass[i]), None))
-            i += 1
-        else:
-            pairs.append((float(xb), None, float(pb.mass[j])))
-            j += 1
-    for k in range(i, pf.n_atoms):
-        pairs.append((float(pf.delta_u[k]), float(pf.mass[k]), None))
-    for k in range(j, pb.n_atoms):
-        pairs.append((float(pb.delta_u[k]), None, float(pb.mass[k])))
-    return pairs
+def _check_aligned(pf: EnergyDistribution, pb: EnergyDistribution) -> None:
+    if pf.n_atoms != pb.n_atoms:
+        raise SupportMismatch(
+            f"forward and backward distributions have {pf.n_atoms} and "
+            f"{pb.n_atoms} atoms; they must come from one tpm_distributions call"
+        )
 
 
 def crooks_residual(pf: EnergyDistribution, pb: EnergyDistribution,
                     beta: float, delta_f: float, x: float) -> float:
     """Max over common atoms of |log(P_F/P_B) - beta (DeltaU - DeltaF - X)|.
 
-    pb must be the renormalized backward distribution. Atoms absent on both
-    sides are skipped; an atom clearly present on one side but absent on
-    the other raises SupportMismatch, which signals either a bug or a
-    non-canonical backward channel.
+    pb must be the renormalized backward distribution, aligned atom for
+    atom with pf. Atoms absent on both sides are skipped; an atom clearly
+    present on one side but absent on the other raises SupportMismatch,
+    which signals either a bug or a mass that underflowed the thresholds.
     """
     if abs(pb.total_mass - 1.0) > 1e-6:
         raise ZeroMass(
             f"backward distribution must be renormalized, total mass {pb.total_mass!r}"
         )
-    worst = 0.0
-    for pos, mf, mb in _match_atoms(pf, pb):
-        f = 0.0 if mf is None else mf
-        b = 0.0 if mb is None else mb
-        if f < ABSENT_MASS and b < ABSENT_MASS:
-            continue
-        if f < ABSENT_MASS or b < ABSENT_MASS:
-            if max(f, b) > PRESENT_MASS:
-                raise SupportMismatch(
-                    f"atom at DeltaU={pos!r} has mass {max(f, b):.3e} on one side only"
-                )
-            continue
-        residual = abs(np.log(f / b) - beta * (pos - delta_f - x))
-        worst = max(worst, residual)
-    return worst
+    _check_aligned(pf, pb)
+    f, b = pf.mass, pb.mass
+    absent_f, absent_b = f < ABSENT_MASS, b < ABSENT_MASS
+    one_sided = (absent_f != absent_b) & (np.maximum(f, b) > PRESENT_MASS)
+    if one_sided.any():
+        i = int(np.argmax(one_sided))
+        raise SupportMismatch(
+            f"atom at DeltaU={float(pf.delta_u[i])!r} has mass "
+            f"{max(f[i], b[i]):.3e} on one side only"
+        )
+    both = ~absent_f & ~absent_b
+    if not both.any():
+        return 0.0
+    residual = np.abs(np.log(f[both] / b[both])
+                      - beta * (pf.delta_u[both] - delta_f - x))
+    return float(residual.max())
 
 
 def kl_divergence(pf: EnergyDistribution, pb: EnergyDistribution) -> float:
     """K[P_F || P_B] = sum P_F log(P_F/P_B) over atoms with forward mass.
 
-    Both inputs must be normalized. Forward mass where the backward side is
-    absent raises SupportMismatch (the divergence would be infinite).
+    Both inputs must be normalized and aligned atom for atom. Forward mass
+    where the backward side is absent raises SupportMismatch (the
+    divergence would be infinite).
     """
-    total = 0.0
-    for pos, mf, mb in _match_atoms(pf, pb):
-        f = 0.0 if mf is None else mf
-        if f < ABSENT_MASS:
-            continue
-        if mb is None or mb < ABSENT_MASS:
-            if f > PRESENT_MASS:
-                raise SupportMismatch(
-                    f"forward mass {f:.3e} at DeltaU={pos!r} without backward support"
-                )
-            continue
-        total += f * np.log(f / mb)
-    return float(total)
+    _check_aligned(pf, pb)
+    f, b = pf.mass, pb.mass
+    live = f >= ABSENT_MASS
+    unsupported = live & (b < ABSENT_MASS)
+    missing = unsupported & (f > PRESENT_MASS)
+    if missing.any():
+        i = int(np.argmax(missing))
+        raise SupportMismatch(
+            f"forward mass {f[i]:.3e} at DeltaU={float(pf.delta_u[i])!r} "
+            f"without backward support"
+        )
+    use = live & ~unsupported
+    terms = f[use] * np.log(f[use] / b[use])
+    if terms.size == 0:
+        return 0.0
+    # a running sum in atom order; a pairwise .sum() moves the last digit
+    return float(np.cumsum(terms)[-1])
 
 
 def write_distribution_csv(p: EnergyDistribution, path) -> None:

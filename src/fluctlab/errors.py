@@ -13,10 +13,6 @@ class NotHermitian(FluctLabError):
     """A matrix deviates from its own adjoint beyond tolerance."""
 
 
-class DomainError(FluctLabError):
-    """A scalar function is undefined on an eigenvalue (e.g. log of 0)."""
-
-
 class DimensionMismatch(FluctLabError):
     """Operands act on incompatible Hilbert-space dimensions."""
 

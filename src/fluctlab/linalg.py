@@ -1,18 +1,17 @@
 """Dense complex-matrix kernel used by every other module.
 
-Hermitian eigendecompositions, spectral matrix functions, Kronecker
-products and ancilla partial traces. All routines are pure functions of
-ndarray inputs and never mutate their arguments.
+Input coercion, Hermiticity checks and Hermitian eigendecompositions. All
+routines are pure functions of ndarray inputs and never mutate their
+arguments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NotHermitian, NotSquare
+from .errors import NotHermitian, NotSquare
 
 # Kernel accuracy target; downstream identities are checked at 1e-8, so
 # 1e-10 here leaves two orders of headroom.
@@ -76,38 +75,3 @@ def hermitian_eig(m) -> SpectralDecomposition:
         )
     w, v = np.linalg.eigh((a + a.conj().T) / 2)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
-
-
-def matrix_function(d: SpectralDecomposition, f: Callable[[float], float]) -> np.ndarray:
-    """V diag(f(lambda)) V^dag for a real scalar function f.
-
-    Raises DomainError if f is undefined or non-finite on any eigenvalue
-    (for example log of a rank-deficient matrix).
-    """
-    with np.errstate(all="ignore"):
-        try:
-            fw = np.array([float(f(float(w))) for w in d.eigenvalues])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"scalar function failed on an eigenvalue: {exc}") from exc
-    if not np.all(np.isfinite(fw)):
-        bad = d.eigenvalues[~np.isfinite(fw)]
-        raise DomainError(f"scalar function non-finite on eigenvalue(s) {bad}")
-    v = d.eigenvectors
-    return (v * fw) @ v.conj().T
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices; dimensions multiply."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
-def partial_trace_ancilla(m, d_sys: int, d_anc: int) -> np.ndarray:
-    """Trace out the trailing ancilla factor of an operator on sys (x) anc."""
-    a = as_complex_matrix(m)
-    full = d_sys * d_anc
-    if a.shape != (full, full):
-        raise DimensionMismatch(
-            f"expected a {full}x{full} matrix for d_sys={d_sys}, d_anc={d_anc}, "
-            f"got shape {a.shape}"
-        )
-    return np.einsum("iaja->ij", a.reshape(d_sys, d_anc, d_sys, d_anc))

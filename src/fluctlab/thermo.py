@@ -22,16 +22,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import KrausChannel, backward_of
 from .distributions import (
     EnergyDistribution,
-    backward_distribution,
     crooks_residual,
     exp_average,
-    forward_distribution,
     gamma_of,
     kl_divergence,
     renormalize_backward,
+    tpm_distributions,
 )
 from .errors import DimensionMismatch
 from .scenario import Scenario
@@ -56,6 +54,20 @@ REPORT_FIELDS = (
     "s_r_final",
 )
 
+# In the order a report builds them; files and summaries list them sorted.
+RESIDUAL_KEYS = (
+    "forward_norm",
+    "backward_mass_vs_gamma",
+    "jarzynski_forward",
+    "jarzynski_backward",
+    "crooks_max",
+    "eq11",
+    "eq16",
+    "eq17",
+    "helmholtz",
+    "moment_vs_trace",
+)
+
 
 @dataclass(frozen=True)
 class FluctuationReport:
@@ -78,19 +90,18 @@ class FluctuationReport:
 
     def as_dict(self) -> dict:
         out = {name: getattr(self, name) for name in REPORT_FIELDS}
-        out["residuals"] = dict(self.residuals)
+        out["residuals"] = {name: self.residuals[name] for name in RESIDUAL_KEYS}
         return out
 
 
-def internal_energy_change(c: KrausChannel, init: ThermalState,
+def internal_energy_change(rho_out: np.ndarray, init: ThermalState,
                            h_final: Hamiltonian) -> float:
-    """DeltaU = tr(H_f rho') - tr(H_i rho_eq); matches the P_F first moment."""
-    if c.dim != init.dim or c.dim != h_final.dim:
+    """DeltaU = tr(H_f rho_out) - tr(H_i rho_eq); matches the P_F first moment."""
+    if rho_out.shape != (init.dim, init.dim) or init.dim != h_final.dim:
         raise DimensionMismatch(
-            f"channel dim {c.dim}, state dim {init.dim}, final Hamiltonian dim "
-            f"{h_final.dim} must agree"
+            f"output state shape {rho_out.shape}, state dim {init.dim}, final "
+            f"Hamiltonian dim {h_final.dim} must agree"
         )
-    rho_out = c.apply(init.state)
     return float(np.trace(h_final.matrix @ rho_out).real
                  - np.trace(init.hamiltonian.matrix @ init.state).real)
 
@@ -107,22 +118,6 @@ def excess_energy(kl: float, x: float, beta: float) -> float:
 def entropy_change(kl: float, x: float, beta: float) -> float:
     """DeltaS = K + beta X, the microscopic entropy-change law."""
     return kl + beta * x
-
-
-def von_neumann_change(c: KrausChannel, init: ThermalState, h_final: Hamiltonian,
-                       final_eq: ThermalState) -> float:
-    """Direct DeltaS_V = S_V(rho') - S_V(rho_eq).
-
-    The companion identity DeltaS_V = K + beta X - S_R(rho' || rho'_eq) is
-    checked as a residual by build_report; this direct spectral computation
-    is the ground truth.
-    """
-    if final_eq.dim != c.dim:
-        raise DimensionMismatch(
-            f"final equilibrium dim {final_eq.dim} does not match channel dim {c.dim}"
-        )
-    rho_out = c.apply(init.state)
-    return von_neumann_entropy(rho_out) - von_neumann_entropy(init.state)
 
 
 class ScenarioArtifacts(NamedTuple):
@@ -147,10 +142,7 @@ def scenario_artifacts(scenario: Scenario) -> ScenarioArtifacts:
     final_eq = gibbs_state(scenario.h_final, beta)
     channel = scenario.channel
 
-    pf = forward_distribution(channel, init_eq, scenario.h_final,
-                              bin_tol_scale=scenario.bin_tol_scale)
-    bwd = backward_of(channel)
-    pb_raw = backward_distribution(bwd, final_eq, scenario.h_initial,
+    pf, pb_raw = tpm_distributions(channel, init_eq, final_eq,
                                    bin_tol_scale=scenario.bin_tol_scale)
     pb = renormalize_backward(pb_raw)
 
@@ -159,17 +151,17 @@ def scenario_artifacts(scenario: Scenario) -> ScenarioArtifacts:
     delta_f = final_eq.free_energy - init_eq.free_energy
     kl = kl_divergence(pf, pb)
 
-    du_trace = internal_energy_change(channel, init_eq, scenario.h_final)
+    rho_out = channel.apply(init_eq.state)
+    du_trace = internal_energy_change(rho_out, init_eq, scenario.h_final)
     du_moment = pf.first_moment()
 
-    rho_out = channel.apply(init_eq.state)
     s_v_out = von_neumann_entropy(rho_out)
     s_v_in = von_neumann_entropy(init_eq.state)
     # Stable at any beta: the thermal log-populations are exact, unlike a
     # generic relative-entropy call whose support threshold can clip them.
-    s_r_final = nonequilibrium_entropy(rho_out, final_eq) - s_v_out
-    ds_state = (nonequilibrium_entropy(rho_out, final_eq)
-                - nonequilibrium_entropy(init_eq.state, init_eq))
+    s_neq_out = nonequilibrium_entropy(rho_out, final_eq)
+    s_r_final = s_neq_out - s_v_out
+    ds_state = s_neq_out - nonequilibrium_entropy(init_eq.state, init_eq)
 
     ds = entropy_change(kl, x, beta)
     dsv = s_v_out - s_v_in
@@ -224,7 +216,7 @@ def report_to_json(report: FluctuationReport, header: dict | None = None) -> str
         items.append(f'  {json.dumps(key)}: {json.dumps(value)}')
     for name in REPORT_FIELDS:
         items.append(f'  "{name}": {fmt(getattr(report, name))}')
-    for name in sorted(report.residuals):
+    for name in sorted(RESIDUAL_KEYS):
         items.append(f'  "residual_{name}": {fmt(report.residuals[name])}')
     lines.append(",\n".join(items))
     lines.append("}")
@@ -233,26 +225,12 @@ def report_to_json(report: FluctuationReport, header: dict | None = None) -> str
 
 def report_csv_header(extra: tuple = ()) -> list:
     names = list(extra) + list(REPORT_FIELDS)
-    names += ["residual_" + k for k in sorted(_RESIDUAL_KEYS)]
+    names += ["residual_" + k for k in sorted(RESIDUAL_KEYS)]
     return names
 
 
 def report_csv_row(report: FluctuationReport, extra: tuple = ()) -> list:
     row = [str(v) for v in extra]
     row += [fmt(getattr(report, name)) for name in REPORT_FIELDS]
-    row += [fmt(report.residuals[k]) for k in sorted(_RESIDUAL_KEYS)]
+    row += [fmt(report.residuals[k]) for k in sorted(RESIDUAL_KEYS)]
     return row
-
-
-_RESIDUAL_KEYS = (
-    "backward_mass_vs_gamma",
-    "crooks_max",
-    "eq11",
-    "eq16",
-    "eq17",
-    "forward_norm",
-    "helmholtz",
-    "jarzynski_backward",
-    "jarzynski_forward",
-    "moment_vs_trace",
-)

@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from fluctlab import (
-    BackwardChannel,
     DimensionMismatch,
+    Hamiltonian,
     NotTracePreserving,
     ParamOutOfRange,
     UnknownPreset,
-    backward_of,
-    dilate,
+    exp_average,
+    gibbs_state,
     haar_unitary,
     is_unital,
     preset,
     random_channel,
+    tpm_distributions,
     unitary_mixture,
     validate_channel,
 )
@@ -23,19 +24,8 @@ DEPHASE_OPS = [np.sqrt(0.5) * np.eye(2, dtype=complex),
                np.sqrt(0.5) * np.diag([1.0, -1.0]).astype(complex)]
 
 
-def channel_action_on_basis(apply_fn, dim):
-    """Stacked action on all d^2 matrix units; the dilation-recovery oracle."""
-    out = []
-    for i in range(dim):
-        for j in range(dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = 1.0
-            out.append(apply_fn(e))
-    return np.stack(out)
-
-
-def apply_ops(ops, rho):
-    return sum(a @ rho @ a.conj().T for a in ops)
+def ladder(dim, top=1.0):
+    return Hamiltonian.from_matrix(np.diag(np.linspace(0.0, top, dim)))
 
 
 class TestValidateChannel:
@@ -111,53 +101,22 @@ class TestApply:
             assert np.linalg.eigvalsh(out).min() > -1e-10
 
 
-class TestDilate:
-    def test_unitary_channel_is_its_own_dilation(self):
-        u = haar_unitary(3, 5)
-        dil = dilate(validate_channel([u]))
-        assert dil.d_anc == 1
-        np.testing.assert_allclose(dil.unitary, u, atol=1e-14)
-
-    @pytest.mark.parametrize("ops", [AMP_DAMP_OPS, DEPHASE_OPS])
-    def test_recovery_of_known_channels(self, ops):
-        c = validate_channel(ops)
-        dil = dilate(c)
-        u = dil.unitary
-        assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-10
-        recovered = dil.recovered_kraus()
-        direct = channel_action_on_basis(c.apply, c.dim)
-        via_dilation = channel_action_on_basis(lambda e: apply_ops(recovered, e), c.dim)
-        assert np.max(np.abs(direct - via_dilation)) < 1e-9
-
-    def test_recovery_of_random_channels(self):
-        rng = np.random.default_rng(71)
-        for k in range(25):
-            dim = int(rng.integers(2, 6))
-            c = random_channel(dim, int(rng.integers(1, 7)), 7100 + k)
-            dil = dilate(c)
-            u = dil.unitary
-            assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-10
-            recovered = dil.recovered_kraus()
-            direct = channel_action_on_basis(c.apply, dim)
-            via = channel_action_on_basis(lambda e: apply_ops(recovered, e), dim)
-            assert np.max(np.abs(direct - via)) < 1e-9
-
-
 class TestBackward:
-    def test_unitary_reversal(self):
-        u = haar_unitary(3, 9)
-        b = backward_of(validate_channel([u]))
-        rho = np.eye(3, dtype=complex) / 3.0
-        rho[0, 0], rho[1, 1] = 0.5, 1.0 / 3.0 - 0.5 + 1.0 / 3.0
-        out = b.apply(u @ rho @ u.conj().T)
-        np.testing.assert_allclose(out, rho, atol=1e-12)
+    """The canonical backward process B_l = A_l, seen through its TPM distribution."""
 
     def test_damping_dual_sends_ground_to_identity(self):
-        b = backward_of(validate_channel(AMP_DAMP_OPS))
-        out = b.apply(np.diag([1.0, 0.0]).astype(complex))
-        np.testing.assert_allclose(out, np.eye(2), atol=1e-14)
+        # backward atoms leaving the final ground state carry
+        # <E_m| sum_l A_l^dag |0><0| A_l |E_m> = 1 times its population
+        final = gibbs_state(Hamiltonian.from_matrix(np.diag([0.0, 3.0])), 1.0)
+        _, pb = tpm_distributions(validate_channel(AMP_DAMP_OPS),
+                                  gibbs_state(ladder(2), 1.0), final)
+        np.testing.assert_allclose(pb.delta_u, [-1.0, 0.0, 2.0, 3.0], atol=1e-14)
+        ground = final.populations[0]
+        np.testing.assert_allclose(pb.mass, [ground, ground, 0.0, 0.0], atol=1e-14)
 
     def test_trace_preserving_flag_tracks_unitality(self):
+        # the backward process preserves trace, so its distribution has
+        # total mass gamma = 1, exactly when the forward channel is unital
         presets = [
             preset("identity", [], 3),
             preset("dephasing", [0.4], 3),
@@ -169,21 +128,22 @@ class TestBackward:
             unitary_mixture(3, 3, 13),
         ]
         for c in presets:
-            assert backward_of(c).trace_preserving == is_unital(c).unital
+            ts = gibbs_state(ladder(c.dim), 1.0)
+            _, pb = tpm_distributions(c, ts, ts)
+            assert (abs(pb.total_mass - 1.0) < 1e-10) == is_unital(c).unital
 
     def test_backward_unitality(self):
-        # sum B^dag B = I because the forward channel preserves trace
+        # sum B^dag B = I because the forward channel preserves trace, which
+        # makes the backward exponential average exactly 1
         rng = np.random.default_rng(83)
         for k in range(30):
             dim = int(rng.integers(2, 6))
-            b = backward_of(random_channel(dim, int(rng.integers(1, 6)), 8300 + k))
-            out = b.apply(np.eye(dim, dtype=complex))
-            assert np.max(np.abs(out - np.eye(dim))) < 1e-10
-
-    def test_external_op_list(self):
-        ops = tuple(np.asarray(a) for a in AMP_DAMP_OPS)
-        b = BackwardChannel(ops=ops, trace_preserving=False)
-        assert b.dim == 2 and b.n_ops == 2
+            c = random_channel(dim, int(rng.integers(1, 6)), 8300 + k)
+            init = gibbs_state(ladder(dim), 1.0)
+            final = gibbs_state(ladder(dim, top=2.0), 1.0)
+            _, pb = tpm_distributions(c, init, final)
+            delta_f = final.free_energy - init.free_energy
+            assert abs(exp_average(pb, 1.0, -delta_f) - 1.0) < 1e-10
 
 
 class TestPresets:

@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
+import oracle
+from conftest import degenerate_scenarios
 from fluctlab import (
-    BackwardChannel,
+    DimensionMismatch,
     EnergyDistribution,
     Hamiltonian,
+    Scenario,
     SpectralDecomposition,
     SupportMismatch,
     ZeroMass,
-    backward_distribution,
-    backward_of,
     crooks_residual,
     exp_average,
-    forward_distribution,
     gamma_of,
     gibbs_state,
     haar_unitary,
@@ -20,7 +20,7 @@ from fluctlab import (
     preset,
     random_channel,
     renormalize_backward,
-    transition_table,
+    tpm_distributions,
     validate_channel,
 )
 
@@ -34,6 +34,11 @@ KL_FLIP = 0.46211715726000979
 H01 = Hamiltonian.from_matrix(np.diag([0.0, 1.0]))
 AMP_DAMP = validate_channel([np.diag([1.0, 0.0]), [[0.0, 1.0], [0.0, 0.0]]])
 FLIP = validate_channel([np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)])
+
+
+def dists(c, h_i=H01, h_f=H01, beta=1.0):
+    """(P_F, unnormalized backward) of channel c between h_i and h_f."""
+    return tpm_distributions(c, gibbs_state(h_i, beta), gibbs_state(h_f, beta))
 
 
 def live_atoms(dist, floor=1e-14):
@@ -56,17 +61,16 @@ def make_dist(atoms, tol=1e-9):
 
 class TestForwardDistribution:
     def test_identity_channel(self):
-        pf = forward_distribution(preset("identity", [], 2), gibbs_state(H01, 1.0), H01)
+        pf, _ = dists(preset("identity", [], 2))
         assert_atoms(pf, [(0.0, 1.0)])
         assert abs(pf.total_mass - 1.0) < 1e-14
 
     def test_full_amplitude_damping(self):
-        pf = forward_distribution(AMP_DAMP, gibbs_state(H01, 1.0), H01)
+        pf, _ = dists(AMP_DAMP)
         assert_atoms(pf, [(-1.0, P1), (0.0, P0)])
 
     def test_full_depolarizing(self):
-        pf = forward_distribution(preset("depolarizing", [1.0], 2),
-                                  gibbs_state(H01, 1.0), H01)
+        pf, _ = dists(preset("depolarizing", [1.0], 2))
         assert_atoms(pf, [(-1.0, P1 / 2), (0.0, 0.5), (1.0, P0 / 2)])
 
     def test_normalized_for_any_channel(self):
@@ -76,30 +80,36 @@ class TestForwardDistribution:
             h_i = Hamiltonian.from_matrix(np.diag(np.sort(rng.random(dim))))
             h_f = Hamiltonian.from_matrix(np.diag(np.sort(rng.random(dim))))
             c = random_channel(dim, int(rng.integers(1, 5)), 9700 + k)
-            pf = forward_distribution(c, gibbs_state(h_i, 1.0), h_f)
+            pf, _ = dists(c, h_i, h_f)
             assert abs(pf.total_mass - 1.0) < 1e-10
 
     def test_transition_table_columns_sum_to_one(self):
-        table = transition_table(random_channel(4, 3, 5), gibbs_state(
-            Hamiltonian.from_matrix(np.diag([0.0, 0.3, 0.7, 1.0])), 2.0),
-            Hamiltonian.from_matrix(np.diag([0.1, 0.4, 0.6, 0.9])))
-        np.testing.assert_allclose(table.probs.sum(axis=0), np.ones(4), atol=1e-10)
-        assert abs(table.initial_pops.sum() - 1.0) < 1e-10
+        # a flat final Hamiltonian puts column m of p(n|m) on one atom at
+        # -E_m, whose mass is then the initial population times the column sum
+        init = gibbs_state(Hamiltonian.from_matrix(np.diag([0.0, 0.3, 0.7, 1.0])), 2.0)
+        flat = gibbs_state(Hamiltonian.from_matrix(np.zeros((4, 4))), 2.0)
+        pf, _ = tpm_distributions(random_channel(4, 3, 5), init, flat)
+        np.testing.assert_allclose(pf.delta_u, [-1.0, -0.7, -0.3, 0.0], atol=1e-12)
+        np.testing.assert_allclose(pf.mass[::-1], init.populations, atol=1e-10)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            tpm_distributions(random_channel(3, 2, 1), gibbs_state(H01, 1.0),
+                              gibbs_state(H01, 1.0))
 
 
 class TestBackwardDistribution:
     def test_unitary_forward_gives_unit_mass(self):
-        pb = backward_distribution(backward_of(FLIP), gibbs_state(H01, 1.0), H01)
+        _, pb = dists(FLIP)
         assert abs(pb.total_mass - 1.0) < 1e-12
 
     def test_full_amplitude_damping(self):
-        pb = backward_distribution(backward_of(AMP_DAMP), gibbs_state(H01, 1.0), H01)
+        _, pb = dists(AMP_DAMP)
         assert_atoms(pb, [(-1.0, P0), (0.0, P0)])
         assert abs(pb.total_mass - GAMMA_AD) < 1e-12
 
     def test_identity_channel(self):
-        pb = backward_distribution(backward_of(preset("identity", [], 2)),
-                                   gibbs_state(H01, 1.0), H01)
+        _, pb = dists(preset("identity", [], 2))
         assert_atoms(pb, [(0.0, 1.0)])
 
     def test_mass_equals_gamma(self, mixed_artifacts):
@@ -124,7 +134,7 @@ class TestGamma:
             h = Hamiltonian.from_matrix(np.diag(np.sort(rng.random(dim))))
             ts = gibbs_state(h, float(rng.uniform(0.2, 5.0)))
             c = random_channel(dim, int(rng.integers(1, 5)), 10100 + k)
-            pb = backward_distribution(backward_of(c), ts, h)
+            _, pb = tpm_distributions(c, ts, ts)
             assert abs(pb.total_mass - gamma_of(c, ts)) < 1e-10
 
 
@@ -135,7 +145,7 @@ class TestRenormalize:
         assert_atoms(q, [(0.0, 1.0)])
 
     def test_amplitude_damping(self):
-        pb = backward_distribution(backward_of(AMP_DAMP), gibbs_state(H01, 1.0), H01)
+        _, pb = dists(AMP_DAMP)
         q = renormalize_backward(pb)
         assert_atoms(q, [(-1.0, 0.5), (0.0, 0.5)])
         assert abs(q.total_mass - 1.0) < 1e-12
@@ -151,30 +161,29 @@ class TestRenormalize:
 
 class TestExpAverage:
     def test_trivial_coefficients(self):
-        pf = forward_distribution(AMP_DAMP, gibbs_state(H01, 1.0), H01)
+        pf, _ = dists(AMP_DAMP)
         assert abs(exp_average(pf, 0.0, 0.0) - 1.0) < 1e-12
 
     def test_forward_jarzynski_equals_gamma(self):
-        pf = forward_distribution(AMP_DAMP, gibbs_state(H01, 1.0), H01)
+        pf, _ = dists(AMP_DAMP)
         assert abs(exp_average(pf, -1.0, 0.0) - GAMMA_AD) < 1e-12
 
     def test_backward_jarzynski_equals_one(self):
-        pb = backward_distribution(backward_of(AMP_DAMP), gibbs_state(H01, 1.0), H01)
+        _, pb = dists(AMP_DAMP)
         assert abs(exp_average(pb, 1.0, 0.0) - 1.0) < 1e-12
 
 
 class TestCrooks:
     def test_identity_scenario(self):
         ts = gibbs_state(H01, 1.0)
-        c = preset("identity", [], 2)
-        pf = forward_distribution(c, ts, H01)
-        pb = renormalize_backward(backward_distribution(backward_of(c), ts, H01))
+        pf, pb_raw = tpm_distributions(preset("identity", [], 2), ts, ts)
+        pb = renormalize_backward(pb_raw)
         assert crooks_residual(pf, pb, 1.0, 0.0, 0.0) < 1e-10
 
     def test_amplitude_damping_scenario(self):
         ts = gibbs_state(H01, 1.0)
-        pf = forward_distribution(AMP_DAMP, ts, H01)
-        pb = renormalize_backward(backward_distribution(backward_of(AMP_DAMP), ts, H01))
+        pf, pb_raw = tpm_distributions(AMP_DAMP, ts, ts)
+        pb = renormalize_backward(pb_raw)
         x = -np.log(GAMMA_AD)
         assert crooks_residual(pf, pb, 1.0, 0.0, x) < 1e-10
 
@@ -187,6 +196,17 @@ class TestCrooks:
         pb = make_dist([(0.0, 0.5), (1.0, 0.5)])
         with pytest.raises(SupportMismatch):
             crooks_residual(pf, pb, 1.0, 0.0, 0.0)
+
+    def test_one_sided_atom_raises(self):
+        pf = make_dist([(0.0, 1.0), (1.0, 0.0)])
+        pb = make_dist([(0.0, 0.5), (1.0, 0.5)])
+        with pytest.raises(SupportMismatch, match="DeltaU=1.0 has mass 5.000e-01"):
+            crooks_residual(pf, pb, 1.0, 0.0, 0.0)
+
+    def test_atoms_absent_on_both_sides_skipped(self):
+        pf = make_dist([(0.0, 1.0), (1.0, 1e-15)])
+        pb = make_dist([(0.0, 1.0), (1.0, 0.0)])
+        assert crooks_residual(pf, pb, 1.0, 0.0, 0.0) == 0.0
 
     def test_requires_normalized_backward(self):
         pf = make_dist([(0.0, 1.0)])
@@ -201,8 +221,8 @@ class TestKl:
 
     def test_amplitude_damping(self):
         ts = gibbs_state(H01, 1.0)
-        pf = forward_distribution(AMP_DAMP, ts, H01)
-        pb = renormalize_backward(backward_distribution(backward_of(AMP_DAMP), ts, H01))
+        pf, pb_raw = tpm_distributions(AMP_DAMP, ts, ts)
+        pb = renormalize_backward(pb_raw)
         assert abs(kl_divergence(pf, pb) - KL_AD) < 1e-13
 
     def test_unitary_flip_matches_relative_entropy(self):
@@ -210,8 +230,8 @@ class TestKl:
         from fluctlab import relative_entropy
 
         ts = gibbs_state(H01, 1.0)
-        pf = forward_distribution(FLIP, ts, H01)
-        pb = renormalize_backward(backward_distribution(backward_of(FLIP), ts, H01))
+        pf, pb_raw = tpm_distributions(FLIP, ts, ts)
+        pb = renormalize_backward(pb_raw)
         kl = kl_divergence(pf, pb)
         assert abs(kl - KL_FLIP) < 1e-13
         rho_out = FLIP.apply(ts.state)
@@ -221,6 +241,12 @@ class TestKl:
         pf = make_dist([(0.0, 0.5), (1.0, 0.5)])
         pb = make_dist([(0.0, 1.0)])
         with pytest.raises(SupportMismatch):
+            kl_divergence(pf, pb)
+
+    def test_forward_mass_on_absent_backward_atom(self):
+        pf = make_dist([(0.0, 0.5), (1.0, 0.5)])
+        pb = make_dist([(0.0, 1.0), (1.0, 0.0)])
+        with pytest.raises(SupportMismatch, match="without backward support"):
             kl_divergence(pf, pb)
 
     def test_nonnegative(self, mixed_artifacts):
@@ -257,16 +283,37 @@ class TestSupportsAndBinning:
                                   eigenvectors=block))
         c = random_channel(4, 3, 271828)
         for beta in (0.2, 1.0, 5.0):
-            pf_a = forward_distribution(c, gibbs_state(base, beta), base)
-            pf_b = forward_distribution(c, gibbs_state(remixed, beta), remixed)
+            pf_a, _ = dists(c, base, base, beta)
+            pf_b, _ = dists(c, remixed, remixed, beta)
             assert pf_a.n_atoms == pf_b.n_atoms
             np.testing.assert_allclose(pf_a.delta_u, pf_b.delta_u, atol=1e-9)
             np.testing.assert_allclose(pf_a.mass, pf_b.mass, atol=1e-9)
 
-    def test_external_backward_channel_supported(self):
-        # a hand-supplied op list goes through the same machinery
-        b = BackwardChannel(ops=tuple(np.asarray(a, dtype=complex)
-                                      for a in AMP_DAMP.kraus_ops),
-                            trace_preserving=False)
-        pb = backward_distribution(b, gibbs_state(H01, 1.0), H01)
-        assert abs(pb.total_mass - GAMMA_AD) < 1e-12
+
+def depolarizing_ladder(dim: int, p: float) -> Scenario:
+    """Equally spaced levels under depolarizing noise: bins with many members."""
+    h = Hamiltonian.from_matrix(np.diag(np.linspace(0.0, 1.0, dim)))
+    return Scenario(name=f"ladder-{dim}", dim=dim, beta=1.0, h_initial=h, h_final=h,
+                    channel=preset("depolarizing", [p], dim))
+
+
+class TestOracleCrossCheck:
+    """The vectorised table and binning against the brute-force loops of tests/oracle.py."""
+
+    @pytest.mark.parametrize("scenario", degenerate_scenarios() + [
+        depolarizing_ladder(16, 0.3), depolarizing_ladder(20, 0.6)],
+        ids=lambda s: s.name)
+    def test_atoms_and_kl_match_oracle(self, scenario):
+        pf, pb_raw = tpm_distributions(scenario.channel,
+                                       gibbs_state(scenario.h_initial, scenario.beta),
+                                       gibbs_state(scenario.h_final, scenario.beta))
+        args = ([np.asarray(a) for a in scenario.channel.kraus_ops],
+                scenario.h_initial.matrix, scenario.h_final.matrix, scenario.beta)
+        want_f = oracle.forward_atoms(*args, tol=pf.bin_tolerance)
+        want_b = oracle.backward_atoms(*args, tol=pf.bin_tolerance)
+        for got, want in ((pf, want_f), (pb_raw, want_b)):
+            assert got.n_atoms == len(want)
+            np.testing.assert_allclose(got.delta_u, [x for x, _ in want], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.mass, [w for _, w in want], rtol=0, atol=1e-12)
+        kl = kl_divergence(pf, renormalize_backward(pb_raw))
+        assert abs(kl - oracle.kl_from_atoms(want_f, want_b, tol=pf.bin_tolerance)) < 1e-12

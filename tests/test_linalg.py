@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from fluctlab import (
-    DimensionMismatch,
-    DomainError,
-    NotHermitian,
-    NotSquare,
-    hermitian_eig,
-    kron,
-    matrix_function,
-    partial_trace_ancilla,
-)
+from fluctlab import NotHermitian, NotSquare, hermitian_eig
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -54,85 +45,3 @@ class TestHermitianEig:
             scale = max(np.linalg.norm(m), 1.0)
             assert np.linalg.norm(dec.reconstruct() - m) / scale < 1e-10
             assert dec.unitarity_deviation() < 1e-10
-
-
-class TestMatrixFunction:
-    def test_exp_of_zero(self):
-        dec = hermitian_eig(np.zeros((2, 2)))
-        np.testing.assert_allclose(matrix_function(dec, np.exp), np.eye(2), atol=1e-14)
-
-    def test_exp_diagonal(self):
-        dec = hermitian_eig(np.diag([0.0, -1.0]))
-        out = matrix_function(dec, np.exp)
-        np.testing.assert_allclose(out, np.diag([1.0, np.exp(-1.0)]), atol=1e-14)
-
-    def test_log_of_singular_matrix(self):
-        dec = hermitian_eig(np.diag([1.0, 0.0]))
-        with pytest.raises(DomainError):
-            matrix_function(dec, np.log)
-
-    def test_exp_log_roundtrip(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            d = int(rng.integers(2, 7))
-            m = random_hermitian(rng, d)
-            m = m @ m.conj().T + 0.1 * np.eye(d)  # positive definite
-            dec = hermitian_eig(m)
-            back = matrix_function(hermitian_eig(matrix_function(dec, np.log)), np.exp)
-            assert np.max(np.abs(back - m)) < 1e-9 * max(1.0, np.linalg.norm(m))
-
-
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4), atol=0)
-
-    def test_diagonal(self):
-        out = kron(np.diag([1.0, 2.0]), np.diag([1.0, 0.0]))
-        np.testing.assert_allclose(out, np.diag([1.0, 0.0, 2.0, 0.0]), atol=0)
-
-    def test_pauli_x_with_identity(self):
-        # direct expansion: anti-diagonal 2x2 identity blocks
-        expected = np.zeros((4, 4))
-        expected[0, 2] = expected[1, 3] = expected[2, 0] = expected[3, 1] = 1.0
-        np.testing.assert_allclose(kron(PAULI_X, np.eye(2)), expected, atol=0)
-
-
-class TestPartialTrace:
-    def test_product_state(self):
-        rng = np.random.default_rng(3)
-        rho = random_hermitian(rng, 3)
-        sigma = random_hermitian(rng, 2)
-        sigma = sigma @ sigma.conj().T
-        sigma /= np.trace(sigma).real
-        out = partial_trace_ancilla(kron(rho, sigma), 3, 2)
-        np.testing.assert_allclose(out, rho, atol=1e-12)
-
-    def test_identity(self):
-        out = partial_trace_ancilla(np.eye(4), 2, 2)
-        np.testing.assert_allclose(out, 2.0 * np.eye(2), atol=0)
-
-    def test_bell_projector(self):
-        # reduced state of a maximally entangled pair is I/2 by hand
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
-        out = partial_trace_ancilla(np.outer(bell, bell.conj()), 2, 2)
-        np.testing.assert_allclose(out, np.eye(2) / 2.0, atol=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            partial_trace_ancilla(np.eye(4), 2, 3)
-
-    def test_linear_and_trace_preserving(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            d_sys, d_anc = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-            n = d_sys * d_anc
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            c = float(rng.standard_normal())
-            lhs = partial_trace_ancilla(a + c * b, d_sys, d_anc)
-            rhs = (partial_trace_ancilla(a, d_sys, d_anc)
-                   + c * partial_trace_ancilla(b, d_sys, d_anc))
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
-            assert abs(np.trace(partial_trace_ancilla(a, d_sys, d_anc))
-                       - np.trace(a)) < 1e-12

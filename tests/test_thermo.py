@@ -16,9 +16,13 @@ from fluctlab import (
     relative_entropy,
     scenario_artifacts,
     validate_channel,
-    von_neumann_change,
 )
-from fluctlab.thermo import report_csv_header, report_csv_row, report_to_json
+from fluctlab.thermo import (
+    RESIDUAL_KEYS,
+    report_csv_header,
+    report_csv_row,
+    report_to_json,
+)
 
 # frozen against the brute-force TPM oracle (tests/oracle.py)
 GOLDEN = {
@@ -49,16 +53,18 @@ def golden_scenario(beta=1.0):
 class TestInternalEnergyChange:
     def test_identity(self):
         ts = gibbs_state(H01, 1.0)
-        assert abs(internal_energy_change(preset("identity", [], 2), ts, H01)) < 1e-14
+        rho_out = preset("identity", [], 2).apply(ts.state)
+        assert abs(internal_energy_change(rho_out, ts, H01)) < 1e-14
 
     def test_amplitude_damping(self):
         ts = gibbs_state(H01, 1.0)
-        assert abs(internal_energy_change(AMP_DAMP, ts, H01) - GOLDEN["delta_u"]) < 1e-14
+        rho_out = AMP_DAMP.apply(ts.state)
+        assert abs(internal_energy_change(rho_out, ts, H01) - GOLDEN["delta_u"]) < 1e-14
 
     def test_unitary_flip(self):
         # population swap: +(p0 - p1)
         ts = gibbs_state(H01, 1.0)
-        assert abs(internal_energy_change(FLIP, ts, H01) - DU_FLIP) < 1e-14
+        assert abs(internal_energy_change(FLIP.apply(ts.state), ts, H01) - DU_FLIP) < 1e-14
 
     def test_matches_first_moment(self, mixed_artifacts):
         for _, art in mixed_artifacts:
@@ -87,13 +93,12 @@ class TestScalarLaws:
 
 class TestVonNeumannChange:
     def test_unitary_channel_is_zero(self):
-        ts = gibbs_state(H01, 1.0)
-        value = von_neumann_change(FLIP, ts, H01, gibbs_state(H01, 1.0))
-        assert abs(value) < 1e-10
+        report = build_report(Scenario(name="flip", dim=2, beta=1.0, h_initial=H01,
+                                       h_final=H01, channel=FLIP))
+        assert abs(report.delta_s_v) < 1e-10
 
     def test_amplitude_damping(self):
-        ts = gibbs_state(H01, 1.0)
-        value = von_neumann_change(AMP_DAMP, ts, H01, gibbs_state(H01, 1.0))
+        value = build_report(golden_scenario()).delta_s_v
         assert abs(value - GOLDEN["delta_s_v"]) < 1e-12
         # identity route: K + beta X - S_R(rho' || rho'_eq)
         via_identity = GOLDEN["kl"] + GOLDEN["x"] - GOLDEN["s_r_final"]
@@ -101,9 +106,9 @@ class TestVonNeumannChange:
 
     def test_depolarizing_sharp_state_gains_entropy(self):
         # nearly pure thermal state spread out to I/2
-        ts = gibbs_state(H01, 20.0)
-        c = preset("depolarizing", [1.0], 2)
-        assert von_neumann_change(c, ts, H01, gibbs_state(H01, 20.0)) > 0.5
+        report = build_report(Scenario(name="spread", dim=2, beta=20.0, h_initial=H01,
+                                       h_final=H01, channel=preset("depolarizing", [1.0], 2)))
+        assert report.delta_s_v > 0.5
 
 
 class TestBuildReport:
@@ -170,3 +175,8 @@ class TestSerialization:
         assert float(row[header.index("gamma")]) == report.gamma
         residual_names = [h for h in header if h.startswith("residual_")]
         assert residual_names == sorted(residual_names)
+
+    def test_residual_keys_are_the_report_order(self):
+        report = build_report(golden_scenario())
+        assert tuple(report.residuals) == RESIDUAL_KEYS
+        assert tuple(report.as_dict()["residuals"]) == RESIDUAL_KEYS
