@@ -37,6 +37,10 @@ PRESENT_MASS = 1e-12
 
 BIN_TOL_BASE = 1e-9
 
+# Kraus operators transformed per stacked matmul: bounds the temporaries at
+# KRAUS_BLOCK * d^2 complex entries for channels with hundreds of operators.
+KRAUS_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class EnergyDistribution:
@@ -121,8 +125,14 @@ def tpm_distributions(c: KrausChannel, init_eq: ThermalState, final_eq: ThermalS
         )
     h_i, h_f = init_eq.hamiltonian, final_eq.hamiltonian
     vf_dag = h_f.spectrum.eigenvectors.conj().T
-    amps = vf_dag @ np.stack(c.kraus_ops) @ h_i.spectrum.eigenvectors
-    probs = (np.abs(amps) ** 2).sum(axis=0)
+    vi = h_i.spectrum.eigenvectors
+    probs = np.zeros((c.dim, c.dim))
+    for k in range(0, c.n_kraus, KRAUS_BLOCK):
+        sq = np.abs(vf_dag @ np.stack(c.kraus_ops[k:k + KRAUS_BLOCK]) @ vi) ** 2
+        # the running total enters as the first term, so the operators are
+        # summed strictly in order, as by one reduction over all of them
+        sq[0] += probs
+        probs = sq.sum(axis=0)
     weights = np.stack([
         (probs * init_eq.populations[np.newaxis, :]).ravel(),
         (probs * final_eq.populations[:, np.newaxis]).ravel(),
