@@ -58,6 +58,7 @@ from .states import (
     gibbs_state,
     nonequilibrium_entropy,
     relative_entropy,
+    state_entropies,
     von_neumann_entropy,
 )
 from .thermo import (

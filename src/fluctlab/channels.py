@@ -2,12 +2,19 @@
 
 Validation, unitality detection, application to density matrices and a
 preset catalog including non-unital cooling channels.
+
+A channel stores its operators once, as one read-only (n_kraus, d, d)
+stack. Every sum over the operators (the channel action, sum A A^dag,
+sum A^dag A, the TPM transition table) is taken KRAUS_BLOCK operators at
+a time by batched matmuls, with the running total entering each block as
+its first term: the operators are added strictly in order, so the sums
+are bit for bit those of a loop over the operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,18 +29,56 @@ from .linalg import as_complex_matrix
 TP_TOL = 1e-10
 UNITAL_TOL = 1e-10
 
+# Kraus operators per batched matmul: bounds the temporaries at
+# KRAUS_BLOCK * d^2 complex entries for channels with hundreds of operators.
+KRAUS_BLOCK = 64
+
+
+def _kraus_block_sum(stack: np.ndarray, term: Callable[[np.ndarray], np.ndarray]):
+    """sum_l term(A_l), where term maps a (n, d, d) slice of the stack to its n terms."""
+    total = 0.0
+    for k in range(0, len(stack), KRAUS_BLOCK):
+        t = term(stack[k:k + KRAUS_BLOCK])
+        # the running total (0 at first) enters as the first term, so the
+        # operators are summed strictly in order, as by a loop over them
+        t[0] += total
+        total = t.sum(axis=0)
+    return total
+
+
+def _dag(a: np.ndarray) -> np.ndarray:
+    """Adjoint of every matrix in a stack."""
+    return a.conj().transpose(0, 2, 1)
+
+
+def _tp_sum(stack: np.ndarray) -> np.ndarray:
+    """sum_l A_l^dag A_l, the identity for a trace-preserving channel."""
+    return _kraus_block_sum(stack, lambda k: _dag(k) @ k)
+
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Validated trace-preserving channel rho -> sum_l A_l rho A_l^dag."""
+    """Validated trace-preserving channel rho -> sum_l A_l rho A_l^dag.
 
-    kraus_ops: tuple
-    dim: int
+    Built by validate_channel. ``stack`` holds the operators as one
+    read-only (n_kraus, dim, dim) array.
+    """
+
+    stack: np.ndarray
     label: str = ""
 
     @property
+    def kraus_ops(self) -> tuple:
+        """The operators A_l as (dim, dim) views into the stack."""
+        return tuple(self.stack)
+
+    @property
+    def dim(self) -> int:
+        return self.stack.shape[1]
+
+    @property
     def n_kraus(self) -> int:
-        return len(self.kraus_ops)
+        return self.stack.shape[0]
 
     def apply(self, rho) -> np.ndarray:
         """Channel action on a density matrix (linear, trace preserving)."""
@@ -42,17 +87,11 @@ class KrausChannel:
             raise DimensionMismatch(
                 f"state shape {a.shape} does not match channel dimension {self.dim}"
             )
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for k in self.kraus_ops:
-            out += k @ a @ k.conj().T
-        return out
+        return _kraus_block_sum(self.stack, lambda k: k @ a @ _dag(k))
 
     def kraus_sum(self) -> np.ndarray:
         """sum_l A_l A_l^dag, the operator whose identity-deviation measures non-unitality."""
-        s = np.zeros((self.dim, self.dim), dtype=complex)
-        for k in self.kraus_ops:
-            s += k @ k.conj().T
-        return s
+        return _kraus_block_sum(self.stack, lambda k: k @ _dag(k))
 
 
 class UnitalityCheck(NamedTuple):
@@ -76,15 +115,14 @@ def validate_channel(ops: Sequence, label: str = "") -> KrausChannel:
             raise DimensionMismatch(
                 f"Kraus operators must all be {d}x{d}, got shape {m.shape}"
             )
-    s = np.zeros((d, d), dtype=complex)
-    for m in mats:
-        s += m.conj().T @ m
-    dev = float(np.max(np.abs(s - np.eye(d))))
+    stack = np.stack(mats)
+    stack.flags.writeable = False
+    dev = float(np.max(np.abs(_tp_sum(stack) - np.eye(d))))
     if dev > TP_TOL:
         raise NotTracePreserving(
             f"sum A^dag A deviates from identity by {dev:.3e} (tolerance {TP_TOL:.0e})"
         )
-    return KrausChannel(kraus_ops=tuple(m.copy() for m in mats), dim=d, label=label)
+    return KrausChannel(stack=stack, label=label)
 
 
 def is_unital(c: KrausChannel) -> UnitalityCheck:

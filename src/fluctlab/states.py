@@ -63,8 +63,8 @@ class Hamiltonian:
         return float(e[-1] - e[0])
 
 
-def check_density_matrix(rho, tol: float = DENSITY_TOL) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a density matrix."""
+def _checked_spectrum(rho, tol: float = DENSITY_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """check_density_matrix, plus the ascending eigenvalues its positivity check found."""
     a = as_complex_matrix(rho)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"density matrix must be square, got {a.shape}")
@@ -77,7 +77,12 @@ def check_density_matrix(rho, tol: float = DENSITY_TOL) -> np.ndarray:
     w = np.linalg.eigvalsh((a + a.conj().T) / 2)
     if w[0] < -tol:
         raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
-    return a
+    return a, w
+
+
+def check_density_matrix(rho, tol: float = DENSITY_TOL) -> np.ndarray:
+    """Validate Hermiticity, unit trace and positivity of a density matrix."""
+    return _checked_spectrum(rho, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -130,12 +135,16 @@ def gibbs_state(h: Hamiltonian, beta: float) -> ThermalState:
     )
 
 
-def von_neumann_entropy(rho) -> float:
-    """S_V(rho) = -tr[rho log rho] with the convention 0 log 0 = 0."""
-    a = check_density_matrix(rho)
-    w = np.clip(np.linalg.eigvalsh((a + a.conj().T) / 2), 0.0, 1.0)
+def _entropy_of_spectrum(w: np.ndarray) -> float:
+    """-sum w log w over the eigenvalues above EIG_CLAMP."""
+    w = np.clip(w, 0.0, 1.0)
     nz = w > EIG_CLAMP
     return float(-(w[nz] * np.log(w[nz])).sum())
+
+
+def von_neumann_entropy(rho) -> float:
+    """S_V(rho) = -tr[rho log rho] with the convention 0 log 0 = 0."""
+    return _entropy_of_spectrum(_checked_spectrum(rho)[1])
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -144,7 +153,7 @@ def relative_entropy(rho, sigma) -> float:
     Raises SupportViolation (the divergent case) when rho carries weight
     outside sigma's support, detected at the EIG_CLAMP eigenvalue threshold.
     """
-    r = check_density_matrix(rho)
+    r, rw = _checked_spectrum(rho)
     s = check_density_matrix(sigma)
     if r.shape != s.shape:
         raise DimensionMismatch(f"state dimensions differ: {r.shape} vs {s.shape}")
@@ -158,12 +167,20 @@ def relative_entropy(rho, sigma) -> float:
             raise SupportViolation(
                 f"rho carries weight {leak:.3e} outside sigma's support"
             )
-    rw = np.clip(np.linalg.eigvalsh((r + r.conj().T) / 2), 0.0, 1.0)
-    nz = rw > EIG_CLAMP
-    tr_r_log_r = float((rw[nz] * np.log(rw[nz])).sum())
     live = ~kernel
     tr_r_log_s = float((diag[live] * np.log(sw[live])).sum())
-    return tr_r_log_r - tr_r_log_s
+    return -_entropy_of_spectrum(rw) - tr_r_log_s
+
+
+def _reference_entropy(r: np.ndarray, reference: ThermalState) -> float:
+    """-tr[r log rho_eq] for a checked density matrix r."""
+    if r.shape[0] != reference.dim:
+        raise DimensionMismatch(
+            f"state dimension {r.shape[0]} differs from reference {reference.dim}"
+        )
+    v = reference.hamiltonian.spectrum.eigenvectors
+    diag = np.einsum("ik,ij,jk->k", v.conj(), r, v).real
+    return float(-(diag * reference.log_populations).sum())
 
 
 def nonequilibrium_entropy(rho, reference: ThermalState) -> float:
@@ -174,11 +191,10 @@ def nonequilibrium_entropy(rho, reference: ThermalState) -> float:
     threshold. Equals S_R(rho || rho_eq) + S_V(rho) and, by the Gibbs form
     of the reference, beta (tr[rho H] - F).
     """
-    r = check_density_matrix(rho)
-    if r.shape[0] != reference.dim:
-        raise DimensionMismatch(
-            f"state dimension {r.shape[0]} differs from reference {reference.dim}"
-        )
-    v = reference.hamiltonian.spectrum.eigenvectors
-    diag = np.einsum("ik,ij,jk->k", v.conj(), r, v).real
-    return float(-(diag * reference.log_populations).sum())
+    return _reference_entropy(check_density_matrix(rho), reference)
+
+
+def state_entropies(rho, reference: ThermalState) -> tuple[float, float]:
+    """(S_V(rho), -tr[rho log rho_eq]) from one validation and one spectrum of rho."""
+    r, w = _checked_spectrum(rho)
+    return _entropy_of_spectrum(w), _reference_entropy(r, reference)

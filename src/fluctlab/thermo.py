@@ -37,8 +37,7 @@ from .states import (
     Hamiltonian,
     ThermalState,
     gibbs_state,
-    nonequilibrium_entropy,
-    von_neumann_entropy,
+    state_entropies,
 )
 
 REPORT_FIELDS = (
@@ -155,13 +154,12 @@ def scenario_artifacts(scenario: Scenario) -> ScenarioArtifacts:
     du_trace = internal_energy_change(rho_out, init_eq, scenario.h_final)
     du_moment = pf.first_moment()
 
-    s_v_out = von_neumann_entropy(rho_out)
-    s_v_in = von_neumann_entropy(init_eq.state)
     # Stable at any beta: the thermal log-populations are exact, unlike a
     # generic relative-entropy call whose support threshold can clip them.
-    s_neq_out = nonequilibrium_entropy(rho_out, final_eq)
+    s_v_out, s_neq_out = state_entropies(rho_out, final_eq)
+    s_v_in, s_neq_in = state_entropies(init_eq.state, init_eq)
     s_r_final = s_neq_out - s_v_out
-    ds_state = s_neq_out - nonequilibrium_entropy(init_eq.state, init_eq)
+    ds_state = s_neq_out - s_neq_in
 
     ds = entropy_change(kl, x, beta)
     dsv = s_v_out - s_v_in

@@ -13,10 +13,12 @@ from fluctlab import (
     is_unital,
     preset,
     random_channel,
+    random_hamiltonian,
     tpm_distributions,
     unitary_mixture,
     validate_channel,
 )
+from fluctlab.channels import _tp_sum
 
 AMP_DAMP_OPS = [np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
                 np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)]
@@ -99,6 +101,70 @@ class TestApply:
             out = c.apply(rho)
             assert abs(np.trace(out).real - 1.0) < 1e-10
             assert np.linalg.eigvalsh(out).min() > -1e-10
+
+
+class TestStackedSums:
+    """The blocked Kraus sums against per-operator loops, bit for bit.
+
+    Kraus counts 1, 63, 64, 65 and 576 put the last operator before, on
+    and after a KRAUS_BLOCK (64) boundary, and run through nine blocks.
+    """
+
+    CHANNELS = {
+        1: lambda: random_channel(3, 1, 41),
+        63: lambda: random_channel(3, 63, 42),
+        64: lambda: random_channel(3, 64, 43),
+        65: lambda: random_channel(3, 65, 44),
+        576: lambda: preset("depolarizing", [0.3], 24),
+    }
+
+    @staticmethod
+    def loop_sum(ops, term):
+        total = np.zeros(ops[0].shape)
+        for a in ops:
+            total = total + term(a)
+        return total
+
+    @pytest.mark.parametrize("n_kraus", sorted(CHANNELS))
+    def test_sums_match_operator_loop(self, n_kraus):
+        c = self.CHANNELS[n_kraus]()
+        assert c.n_kraus == n_kraus
+        ops = c.kraus_ops
+        init = gibbs_state(random_hamiltonian(c.dim, 7), 1.0)
+        final = gibbs_state(random_hamiltonian(c.dim, 8), 1.0)
+        rho = init.state
+
+        assert np.array_equal(c.apply(rho), self.loop_sum(ops, lambda a: a @ rho @ a.conj().T))
+        assert np.array_equal(c.kraus_sum(), self.loop_sum(ops, lambda a: a @ a.conj().T))
+        assert np.array_equal(_tp_sum(c.stack), self.loop_sum(ops, lambda a: a.conj().T @ a))
+
+        # generic spectra: every gap is its own atom, so the masses are the
+        # table entries in gap order
+        vf_dag = final.hamiltonian.spectrum.eigenvectors.conj().T
+        vi = init.hamiltonian.spectrum.eigenvectors
+        probs = self.loop_sum(ops, lambda a: np.abs(vf_dag @ a @ vi) ** 2)
+        gaps = np.subtract.outer(final.hamiltonian.energies, init.hamiltonian.energies)
+        order = np.argsort(gaps.ravel(), kind="stable")
+        pf, pb_raw = tpm_distributions(c, init, final)
+        assert pf.n_atoms == c.dim**2
+        assert np.array_equal(pf.mass, (probs * init.populations).ravel()[order])
+        assert np.array_equal(pb_raw.mass,
+                              (probs * final.populations[:, np.newaxis]).ravel()[order])
+
+    def test_operators_are_read_only_views_of_the_stack(self):
+        c = self.CHANNELS[65]()
+        assert c.stack.shape == (65, 3, 3)
+        assert all(np.shares_memory(a, c.stack) for a in c.kraus_ops)
+        with pytest.raises(ValueError):
+            c.stack[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            c.kraus_ops[64][0, 0] = 1.0
+
+    def test_stack_is_a_copy_of_the_input(self):
+        ops = [m.copy() for m in AMP_DAMP_OPS]
+        c = validate_channel(ops)
+        ops[0][0, 0] = 5.0
+        assert c.kraus_ops[0][0, 0] == 1.0
 
 
 class TestBackward:

@@ -5,11 +5,13 @@ from fluctlab import (
     DimensionMismatch,
     Hamiltonian,
     InvalidBeta,
+    NotHermitian,
     SupportViolation,
     gibbs_state,
     nonequilibrium_entropy,
     random_hamiltonian,
     relative_entropy,
+    state_entropies,
     von_neumann_entropy,
 )
 
@@ -147,3 +149,32 @@ class TestNonequilibriumEntropy:
             lhs = nonequilibrium_entropy(rho, ts)
             rhs = ts.beta * (float(np.trace(rho @ h.matrix).real) - ts.free_energy)
             assert abs(lhs - rhs) < 1e-10
+
+
+class TestStateEntropies:
+    def test_equals_the_single_entropies(self):
+        rng = np.random.default_rng(59)
+        for _ in range(20):
+            dim = int(rng.integers(2, 7))
+            ts = gibbs_state(random_hamiltonian(dim, int(rng.integers(2**63 - 1))), 1.0)
+            z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            rho = z @ z.conj().T
+            rho /= np.trace(rho).real
+            expected = (von_neumann_entropy(rho), nonequilibrium_entropy(rho, ts))
+            assert state_entropies(rho, ts) == expected
+
+    @pytest.mark.parametrize("rho, error, message", [
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), NotHermitian, "Hermiticity"),
+        (np.diag([0.5, 0.6]), ValueError, "trace"),
+        (np.diag([1.5, -0.5]), ValueError, "negative eigenvalue"),
+    ])
+    def test_keeps_the_density_checks(self, rho, error, message):
+        ts = gibbs_state(H01, 1.0)
+        with pytest.raises(error, match=message):
+            state_entropies(rho, ts)
+        with pytest.raises(error, match=message):
+            von_neumann_entropy(rho)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            state_entropies(np.eye(3) / 3.0, gibbs_state(H01, 1.0))

@@ -17,6 +17,7 @@ from fluctlab import (
     scenario_artifacts,
     validate_channel,
 )
+from fluctlab import states
 from fluctlab.thermo import (
     RESIDUAL_KEYS,
     report_csv_header,
@@ -149,6 +150,22 @@ class TestBuildReport:
         assert abs(report.kl - report.delta_s) < 1e-8  # X = 0
         assert abs(report.kl - s_r) < 1e-8
         assert abs(report.delta_s_v) < 1e-10
+
+    def test_each_state_diagonalised_once(self, monkeypatch):
+        # one spectrum each for rho_out and the initial Gibbs state feeds
+        # the density check, S_V and -tr[rho log rho_eq] of that state
+        scenario = random_scenario(606, dim_range=(6, 6), n_kraus_range=(3, 3))
+        eigvalsh = states.np.linalg.eigvalsh
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(states.np.linalg, "eigvalsh", counted)
+        report = build_report(scenario)
+        assert calls == [(6, 6), (6, 6)]
+        assert report.max_residual() < 1e-8
 
     def test_artifacts_distributions_consistent(self):
         art = scenario_artifacts(golden_scenario())
