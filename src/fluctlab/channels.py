@@ -3,12 +3,12 @@
 Validation, unitality detection, application to density matrices and a
 preset catalog including non-unital cooling channels.
 
-A channel stores its operators once, as one read-only (n_kraus, d, d)
-stack. Every sum over the operators (the channel action, sum A A^dag,
-sum A^dag A, the TPM transition table) is taken KRAUS_BLOCK operators at
-a time by batched matmuls, with the running total entering each block as
-its first term: the operators are added strictly in order, so the sums
-are bit for bit those of a loop over the operators.
+Channels are built and validated as one (n_kraus, d, d) array, kept
+read-only as the channel's ``stack``. Every sum over the operators (the
+channel action, sum A A^dag, sum A^dag A, the TPM transition table) is
+taken KRAUS_BLOCK operators at a time by batched matmuls, with the running
+total entering each block as its first term: the operators are added
+strictly in order, so the sums are bit for bit those of a loop over them.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    NotSquare,
     NotTracePreserving,
     ParamOutOfRange,
     UnknownPreset,
@@ -99,23 +100,33 @@ class UnitalityCheck(NamedTuple):
     deviation: float
 
 
-def validate_channel(ops: Sequence, label: str = "") -> KrausChannel:
-    """Check a Kraus list for trace preservation and wrap it.
+def validate_channel(ops, label: str = "") -> KrausChannel:
+    """Check a copy of a Kraus list or (n, d, d) array for trace preservation.
 
     Complete positivity is automatic for any Kraus list; only
     sum_l A_l^dag A_l = identity needs verifying. Minimality is not
     required: lists longer than dim^2 are accepted as-is.
     """
-    mats = [as_complex_matrix(op) for op in ops]
-    if not mats:
+    try:
+        stack = np.array(ops, dtype=complex, order="C")
+    except ValueError as exc:
+        raise DimensionMismatch(f"cannot stack the Kraus operators: {exc}") from exc
+    return _channel(stack, label)
+
+
+def _channel(stack: np.ndarray, label: str) -> KrausChannel:
+    """validate_channel without the copy, for a complex stack built here."""
+    if stack.ndim == 0 or len(stack) == 0:
         raise DimensionMismatch("a channel needs at least one Kraus operator")
-    d = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (d, d):
-            raise DimensionMismatch(
-                f"Kraus operators must all be {d}x{d}, got shape {m.shape}"
-            )
-    stack = np.stack(mats)
+    if stack.ndim != 3:
+        raise NotSquare(f"Kraus operators must be matrices, got ndim={stack.ndim - 1}")
+    d = stack.shape[1]
+    if stack.shape[2] != d:
+        raise DimensionMismatch(
+            f"Kraus operators must all be {d}x{d}, got shape {stack.shape[1:]}"
+        )
+    if not np.isfinite(stack).all():
+        raise ValueError("Kraus operators contain non-finite entries")
     stack.flags.writeable = False
     dev = float(np.max(np.abs(_tp_sum(stack) - np.eye(d))))
     if dev > TP_TOL:
@@ -127,7 +138,12 @@ def validate_channel(ops: Sequence, label: str = "") -> KrausChannel:
 
 def is_unital(c: KrausChannel) -> UnitalityCheck:
     """True iff sum_l A_l A_l^dag = identity; the deviation is always reported."""
-    dev = float(np.max(np.abs(c.kraus_sum() - np.eye(c.dim))))
+    return unitality_of_sum(c.kraus_sum())
+
+
+def unitality_of_sum(kraus_sum: np.ndarray) -> UnitalityCheck:
+    """is_unital from a channel's sum_l A_l A_l^dag, already computed."""
+    dev = float(np.max(np.abs(kraus_sum - np.eye(len(kraus_sum)))))
     return UnitalityCheck(unital=dev < UNITAL_TOL, deviation=dev)
 
 
@@ -160,8 +176,9 @@ def random_channel(dim: int, n_kraus: int, seed: int) -> KrausChannel:
         raise ParamOutOfRange(f"n_kraus must be >= 1, got {n_kraus}")
     u = haar_unitary(dim * n_kraus, seed)
     u4 = u.reshape(dim, n_kraus, dim, n_kraus)
-    ops = [u4[:, ell, :, 0] for ell in range(n_kraus)]
-    return validate_channel(ops, label=f"random(seed={seed}, n_kraus={n_kraus})")
+    # validate_channel copies the blocks, so the channel does not keep u alive
+    return validate_channel(u4[:, :, :, 0].transpose(1, 0, 2),
+                            label=f"random(seed={seed}, n_kraus={n_kraus})")
 
 
 def unitary_mixture(dim: int, n_ops: int, seed: int) -> KrausChannel:
@@ -183,16 +200,17 @@ def _check_probability(p: float, name: str) -> float:
     return p
 
 
-def _clock_matrix(dim: int) -> np.ndarray:
-    phases = np.exp(2j * np.pi * np.arange(dim) / dim)
-    return np.diag(phases)
+def _weyl_powers(dim: int):
+    """Stacks of the shift powers X^a and the clock powers Z^b, a, b < dim.
 
-
-def _shift_matrix(dim: int) -> np.ndarray:
-    x = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim):
-        x[(k + 1) % dim, k] = 1.0
-    return x
+    One matrix_power per clock power: exp(2 pi i k b / dim) differs in the last bit.
+    """
+    k = np.arange(dim)
+    shifts = np.zeros((dim, dim, dim), dtype=complex)
+    shifts[k[:, np.newaxis], (k + k[:, np.newaxis]) % dim, k] = 1.0
+    z = np.diag(np.exp(2j * np.pi * k / dim))
+    clocks = np.array([np.linalg.matrix_power(z, b) for b in range(dim)])
+    return shifts, clocks
 
 
 def _need_params(params: Sequence[float], n: int, name: str) -> Sequence[float]:
@@ -225,49 +243,42 @@ def preset(name: str, params: Sequence[float] = (), dim: int = 2) -> KrausChanne
 
     if name == "identity":
         _need_params(params, 0, name)
-        return validate_channel([eye], label="identity")
+        return _channel(eye[np.newaxis], label="identity")
 
     if name == "unitary":
         _need_params(params, 1, name)
-        return validate_channel(
-            [haar_unitary(dim, int(params[0]))], label=f"unitary(seed={int(params[0])})"
-        )
+        return _channel(haar_unitary(dim, int(params[0]))[np.newaxis],
+                        label=f"unitary(seed={int(params[0])})")
 
     if name == "dephasing":
         (p,) = _need_params(params, 1, name)
         p = _check_probability(p, "p")
         if dim < 2:
             raise ParamOutOfRange("dephasing needs dim >= 2")
-        z = _clock_matrix(dim)
-        ops = [np.sqrt(1.0 - p) * eye]
-        ops += [np.sqrt(p / (dim - 1)) * np.linalg.matrix_power(z, j)
-                for j in range(1, dim)]
-        return validate_channel(ops, label=f"dephasing(p={p})")
+        _, ops = _weyl_powers(dim)
+        ops[0] *= np.sqrt(1.0 - p)
+        ops[1:] *= np.sqrt(p / (dim - 1))
+        return _channel(ops, label=f"dephasing(p={p})")
 
     if name == "depolarizing":
         (p,) = _need_params(params, 1, name)
         p = _check_probability(p, "p")
-        x, z = _shift_matrix(dim), _clock_matrix(dim)
-        ops = [np.sqrt(1.0 - p + p / dim**2) * eye]
-        for a in range(dim):
-            for b in range(dim):
-                if a == 0 and b == 0:
-                    continue
-                w = np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
-                ops.append(np.sqrt(p) / dim * w)
-        return validate_channel(ops, label=f"depolarizing(p={p})")
+        x, z = _weyl_powers(dim)
+        # operator a * dim + b is X^a Z^b
+        ops = (x[:, np.newaxis] @ z).reshape(dim * dim, dim, dim)
+        ops *= np.sqrt(p) / dim
+        ops[0] = np.sqrt(1.0 - p + p / dim**2) * eye
+        return _channel(ops, label=f"depolarizing(p={p})")
 
     if name == "amplitude_damping":
         (p,) = _need_params(params, 1, name)
         p = _check_probability(p, "p")
-        a0 = eye.copy()
-        a0[1:, 1:] *= np.sqrt(1.0 - p)
-        ops = [a0]
-        for k in range(1, dim):
-            ak = np.zeros((dim, dim), dtype=complex)
-            ak[0, k] = np.sqrt(p)
-            ops.append(ak)
-        return validate_channel(ops, label=f"amplitude_damping(p={p})")
+        ops = np.zeros((dim, dim, dim), dtype=complex)
+        ops[0] = eye
+        ops[0, 1:, 1:] *= np.sqrt(1.0 - p)
+        k = np.arange(1, dim)
+        ops[k, 0, k] = np.sqrt(p)
+        return _channel(ops, label=f"amplitude_damping(p={p})")
 
     if name == "thermal_attenuator":
         p, nbar = _need_params(params, 2, name)

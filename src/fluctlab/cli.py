@@ -15,17 +15,19 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .channels import UnitalityCheck, is_unital
+from .channels import UnitalityCheck
 from .distributions import write_distribution_csv
 from .errors import FluctLabError, ScenarioError, UnknownParam
 from .scenario import (
-    BatchSpec,
+    DEFAULT_RESIDUAL_TOL,
     Scenario,
     batch_from_dict,
     parse_channel,
+    positive_tolerance,
     random_scenario,
     scenario_from_dict,
 )
@@ -63,10 +65,8 @@ def _load_json(path: str):
 
 def _threshold(args, scenario: Scenario | None = None) -> float:
     if args.tol is not None:
-        return float(args.tol)
-    if scenario is not None:
-        return scenario.identity_rtol
-    return 1e-8
+        return positive_tolerance(args.tol, "--tol")
+    return scenario.identity_rtol if scenario is not None else DEFAULT_RESIDUAL_TOL
 
 
 def _load_scenario(args) -> Scenario:
@@ -87,10 +87,8 @@ def _summary_text(scenario: Scenario, report: FluctuationReport,
         f"unital: {str(check.unital).lower()} (deviation {fmt(check.deviation)})",
         "",
     ]
-    for name in REPORT_FIELDS:
-        lines.append(f"{name:24s} = {fmt(getattr(report, name))}")
-    lines.append("")
-    lines.append(f"residuals (threshold {fmt(threshold)}):")
+    lines += [f"{name:24s} = {fmt(getattr(report, name))}" for name in REPORT_FIELDS]
+    lines += ["", f"residuals (threshold {fmt(threshold)}):"]
     for name in sorted(RESIDUAL_KEYS):
         value = report.residuals[name]
         verdict = "PASS" if value < threshold else "FAIL"
@@ -106,17 +104,16 @@ def cmd_run(args) -> int:
 
     artifacts = scenario_artifacts(scenario)
     report = artifacts.report
-    check = is_unital(scenario.channel)
 
     os.makedirs(args.out, exist_ok=True)
     header = {"name": scenario.name, "dim": scenario.dim,
               "beta": float(scenario.beta), "seed": scenario.seed,
-              "unital": bool(check.unital)}
+              "unital": bool(artifacts.unitality.unital)}
     with open(os.path.join(args.out, "report.json"), "w", newline="") as fh:
         fh.write(report_to_json(report, header=header))
     write_distribution_csv(artifacts.forward, os.path.join(args.out, "pf.csv"))
     write_distribution_csv(artifacts.backward, os.path.join(args.out, "pb.csv"))
-    summary = _summary_text(scenario, report, threshold, check)
+    summary = _summary_text(scenario, report, threshold, artifacts.unitality)
     with open(os.path.join(args.out, "summary.txt"), "w", newline="") as fh:
         fh.write(summary)
 
@@ -143,21 +140,9 @@ def _sweep_scenarios(base: Scenario, param: str, values: list) -> list:
                 f"probability parameter (one of {', '.join(SWEEPABLE_PRESETS)})"
             )
         for v in values:
-            new_spec = dict(spec)
-            params = list(spec.get("params", []))
-            if params:
-                params[0] = float(v)
-            else:
-                params = [float(v)]
-            new_spec["params"] = params
+            new_spec = dict(spec, params=[float(v)] + list(spec.get("params", []))[1:])
             channel = parse_channel(new_spec, base.dim, base.seed)
-            out.append(Scenario(
-                name=base.name, dim=base.dim, beta=base.beta,
-                h_initial=base.h_initial, h_final=base.h_final,
-                channel=channel, seed=base.seed,
-                identity_rtol=base.identity_rtol,
-                bin_tol_scale=base.bin_tol_scale, channel_spec=new_spec,
-            ))
+            out.append(replace(base, channel=channel, channel_spec=new_spec))
         return out
     raise UnknownParam(f"unknown sweep parameter {param!r} (use 'beta' or 'channel.p')")
 
@@ -191,9 +176,7 @@ def cmd_batch(args) -> int:
     doc = _load_json(args.spec_file)
     spec = batch_from_dict(doc)
     if args.seed is not None:
-        spec = BatchSpec(count=spec.count, dim_range=spec.dim_range,
-                         n_kraus_range=spec.n_kraus_range, beta_set=spec.beta_set,
-                         seed=int(args.seed), unital_only=spec.unital_only)
+        spec = replace(spec, seed=int(args.seed))
     threshold = _threshold(args)
 
     rng = np.random.default_rng(spec.seed)
@@ -213,12 +196,10 @@ def cmd_batch(args) -> int:
                 beta_set=spec.beta_set, unital_only=spec.unital_only,
             )
             try:
-                report = scenario_artifacts(scenario).report
+                artifacts = scenario_artifacts(scenario)
             except FluctLabError as exc:
-                raise ScenarioError(
-                    f"scenario seed={seed} failed: {exc}"
-                ) from exc
-            unital = is_unital(scenario.channel).unital
+                raise ScenarioError(f"scenario seed={seed} failed: {exc}") from exc
+            report = artifacts.report
             max_res = report.max_residual()
             if spec.unital_only and abs(report.gamma - 1.0) > 1e-10:
                 failures += 1
@@ -226,7 +207,7 @@ def cmd_batch(args) -> int:
                 failures += 1
             worst = max(worst, max_res)
             writer.writerow([
-                str(seed), str(scenario.dim), str(unital).lower(),
+                str(seed), str(scenario.dim), str(artifacts.unitality.unital).lower(),
                 fmt(report.gamma), fmt(report.x), fmt(report.kl),
                 fmt(report.delta_u), fmt(report.delta_s), fmt(max_res),
             ])
@@ -283,10 +264,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FluctLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FluctLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

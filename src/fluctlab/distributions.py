@@ -22,7 +22,7 @@ mass-weighted mean of its members (which keeps first moments exact).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -136,11 +136,16 @@ def tpm_distributions(c: KrausChannel, init_eq: ThermalState, final_eq: ThermalS
 
 def gamma_of(c: KrausChannel, final_eq: ThermalState) -> float:
     """gamma = tr[sum_l A_l A_l^dag rho'_eq]; equals 1 for unital channels."""
-    if c.dim != final_eq.dim:
+    return gamma_of_sum(c.kraus_sum(), final_eq)
+
+
+def gamma_of_sum(kraus_sum: np.ndarray, final_eq: ThermalState) -> float:
+    """gamma_of from a channel's sum_l A_l A_l^dag, already computed."""
+    if len(kraus_sum) != final_eq.dim:
         raise DimensionMismatch(
-            f"channel dim {c.dim} does not match state dim {final_eq.dim}"
+            f"channel dim {len(kraus_sum)} does not match state dim {final_eq.dim}"
         )
-    return float(np.trace(c.kraus_sum() @ final_eq.state).real)
+    return float(np.trace(kraus_sum @ final_eq.state).real)
 
 
 def renormalize_backward(p: EnergyDistribution) -> EnergyDistribution:
@@ -148,12 +153,7 @@ def renormalize_backward(p: EnergyDistribution) -> EnergyDistribution:
     if p.total_mass <= 0.0:
         raise ZeroMass("cannot renormalize a distribution with no mass")
     mass = p.mass / p.total_mass
-    return EnergyDistribution(
-        delta_u=p.delta_u.copy(),
-        mass=mass,
-        total_mass=float(mass.sum()),
-        bin_tolerance=p.bin_tolerance,
-    )
+    return replace(p, delta_u=p.delta_u.copy(), mass=mass, total_mass=float(mass.sum()))
 
 
 def exp_average(p: EnergyDistribution, coefficient: float, offset: float = 0.0) -> float:

@@ -110,6 +110,17 @@ def parse_channel(obj, dim: int, seed: int) -> KrausChannel:
     raise ScenarioError("channel: needs either a 'preset' or a 'kraus' key")
 
 
+def positive_tolerance(value, name: str) -> float:
+    """value as a float; ScenarioError naming it unless it is finite and > 0."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        tol = np.nan
+    if not np.isfinite(tol) or tol <= 0:
+        raise ScenarioError(f"{name} must be a finite number > 0, got {value!r}")
+    return tol
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be an object")
@@ -128,8 +139,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     tols = doc.get("tolerances", {})
     if not isinstance(tols, dict):
         raise ScenarioError("scenario: 'tolerances' must be an object")
-    identity_rtol = float(tols.get("identity_rtol", DEFAULT_RESIDUAL_TOL))
-    bin_tol_scale = float(tols.get("bin_tol_scale", 1.0))
+    identity_rtol = positive_tolerance(tols.get("identity_rtol", DEFAULT_RESIDUAL_TOL),
+                                       "scenario: tolerances.identity_rtol")
+    bin_tol_scale = positive_tolerance(tols.get("bin_tol_scale", 1.0),
+                                       "scenario: tolerances.bin_tol_scale")
 
     try:
         h_i = Hamiltonian.from_matrix(parse_matrix(doc["h_initial"], "h_initial"))

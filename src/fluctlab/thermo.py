@@ -22,11 +22,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channels import UnitalityCheck, unitality_of_sum
 from .distributions import (
     EnergyDistribution,
     crooks_residual,
     exp_average,
-    gamma_of,
+    gamma_of_sum,
     kl_divergence,
     renormalize_backward,
     tpm_distributions,
@@ -124,10 +125,12 @@ class ScenarioArtifacts(NamedTuple):
     forward: EnergyDistribution
     backward_raw: EnergyDistribution
     backward: EnergyDistribution
+    unitality: UnitalityCheck
 
 
 def scenario_artifacts(scenario: Scenario) -> ScenarioArtifacts:
-    """Report plus the three distributions it was computed from.
+    """Report, the three distributions it was computed from, and the
+    channel's unitality check, read from the same sum_l A_l A_l^dag as gamma.
 
     Residual keys: forward_norm, backward_mass_vs_gamma, jarzynski_forward,
     jarzynski_backward, crooks_max, eq11 (energy decomposition), eq16
@@ -145,7 +148,8 @@ def scenario_artifacts(scenario: Scenario) -> ScenarioArtifacts:
                                    bin_tol_scale=scenario.bin_tol_scale)
     pb = renormalize_backward(pb_raw)
 
-    gamma = gamma_of(channel, final_eq)
+    kraus_sum = channel.kraus_sum()
+    gamma = gamma_of_sum(kraus_sum, final_eq)
     x = float(-np.log(gamma) / beta)
     delta_f = final_eq.free_energy - init_eq.free_energy
     kl = kl_divergence(pf, pb)
@@ -190,7 +194,8 @@ def scenario_artifacts(scenario: Scenario) -> ScenarioArtifacts:
         s_r_final=s_r_final,
         residuals=residuals,
     )
-    return ScenarioArtifacts(report=report, forward=pf, backward_raw=pb_raw, backward=pb)
+    return ScenarioArtifacts(report=report, forward=pf, backward_raw=pb_raw, backward=pb,
+                             unitality=unitality_of_sum(kraus_sum))
 
 
 def build_report(scenario: Scenario) -> FluctuationReport:
@@ -208,27 +213,18 @@ def fmt(value: float) -> str:
 
 def report_to_json(report: FluctuationReport, header: dict | None = None) -> str:
     """Flat JSON document: header strings/ints, report fields, residual_* keys."""
-    lines = ["{"]
-    items = []
-    for key, value in (header or {}).items():
-        items.append(f'  {json.dumps(key)}: {json.dumps(value)}')
-    for name in REPORT_FIELDS:
-        items.append(f'  "{name}": {fmt(getattr(report, name))}')
-    for name in sorted(RESIDUAL_KEYS):
-        items.append(f'  "residual_{name}": {fmt(report.residuals[name])}')
-    lines.append(",\n".join(items))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    items = [f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in (header or {}).items()]
+    items += [f'  "{name}": {fmt(getattr(report, name))}' for name in REPORT_FIELDS]
+    items += [f'  "residual_{name}": {fmt(report.residuals[name])}'
+              for name in sorted(RESIDUAL_KEYS)]
+    return "{\n" + ",\n".join(items) + "\n}\n"
 
 
 def report_csv_header(extra: tuple = ()) -> list:
-    names = list(extra) + list(REPORT_FIELDS)
-    names += ["residual_" + k for k in sorted(RESIDUAL_KEYS)]
-    return names
+    return [*extra, *REPORT_FIELDS, *("residual_" + k for k in sorted(RESIDUAL_KEYS))]
 
 
 def report_csv_row(report: FluctuationReport, extra: tuple = ()) -> list:
-    row = [str(v) for v in extra]
-    row += [fmt(getattr(report, name)) for name in REPORT_FIELDS]
-    row += [fmt(report.residuals[k]) for k in sorted(RESIDUAL_KEYS)]
-    return row
+    return ([str(v) for v in extra]
+            + [fmt(getattr(report, name)) for name in REPORT_FIELDS]
+            + [fmt(report.residuals[k]) for k in sorted(RESIDUAL_KEYS)])

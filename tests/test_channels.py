@@ -1,9 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 
 from fluctlab import (
     DimensionMismatch,
     Hamiltonian,
+    KrausChannel,
+    NotSquare,
     NotTracePreserving,
     ParamOutOfRange,
     UnknownPreset,
@@ -18,6 +22,7 @@ from fluctlab import (
     unitary_mixture,
     validate_channel,
 )
+from fluctlab import channels, cli
 from fluctlab.channels import _tp_sum
 
 AMP_DAMP_OPS = [np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
@@ -271,3 +276,116 @@ class TestPresets:
                       preset("amplitude_damping", [0.6], dim),
                       preset("random", [2, 4], dim)):
                 assert c.dim == dim
+
+
+def loop_preset(name, p, dim):
+    """The presets' operators built one at a time, as lists of matrices."""
+    eye = np.eye(dim, dtype=complex)
+    z = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
+    if name == "dephasing":
+        return [np.sqrt(1.0 - p) * eye] + [
+            np.sqrt(p / (dim - 1)) * np.linalg.matrix_power(z, j) for j in range(1, dim)]
+    if name == "depolarizing":
+        x = np.zeros((dim, dim), dtype=complex)
+        for k in range(dim):
+            x[(k + 1) % dim, k] = 1.0
+        ops = [np.sqrt(1.0 - p + p / dim**2) * eye]
+        for a in range(dim):
+            for b in range(dim):
+                if a or b:
+                    w = np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+                    ops.append(np.sqrt(p) / dim * w)
+        return ops
+    a0 = eye.copy()
+    a0[1:, 1:] *= np.sqrt(1.0 - p)
+    ops = [a0]
+    for k in range(1, dim):
+        ak = np.zeros((dim, dim), dtype=complex)
+        ak[0, k] = np.sqrt(p)
+        ops.append(ak)
+    return ops
+
+
+class TestArrayBuiltChannels:
+    """Channels built as one array equal the per-operator constructions, byte for byte.
+
+    tobytes() compares every bit, signed zeros included.
+    """
+
+    @staticmethod
+    def same_bytes(channel, ops):
+        stack = np.stack(ops)
+        return (channel.stack.shape == stack.shape
+                and channel.stack.tobytes() == stack.tobytes())
+
+    @pytest.mark.parametrize("name,dim", [
+        (name, dim)
+        for name in ("dephasing", "depolarizing", "amplitude_damping")
+        for dim in (1, 2, 3, 4, 5, 16, 24)
+        if name != "dephasing" or dim > 1  # dephasing needs dim >= 2
+    ])
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 1.0])
+    def test_probability_presets(self, name, dim, p):
+        assert self.same_bytes(preset(name, [p], dim), loop_preset(name, p, dim))
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 24])
+    def test_identity_and_unitary(self, dim):
+        assert self.same_bytes(preset("identity", [], dim), [np.eye(dim, dtype=complex)])
+        assert self.same_bytes(preset("unitary", [9], dim), [haar_unitary(dim, 9)])
+
+    @pytest.mark.parametrize("dim,n_kraus", [(1, 1), (2, 3), (3, 16), (5, 4)])
+    def test_random_channel(self, dim, n_kraus):
+        u4 = haar_unitary(dim * n_kraus, 77).reshape(dim, n_kraus, dim, n_kraus)
+        ops = [u4[:, ell, :, 0] for ell in range(n_kraus)]
+        c = random_channel(dim, n_kraus, 77)
+        assert self.same_bytes(c, ops)
+        assert c.stack.flags.c_contiguous
+
+    @pytest.mark.parametrize("name", ["dephasing", "depolarizing"])
+    def test_matrix_power_calls_at_most_dim(self, monkeypatch, name):
+        matrix_power = np.linalg.matrix_power
+        calls = []
+
+        def counted(a, n):
+            calls.append(n)
+            return matrix_power(a, n)
+
+        monkeypatch.setattr(channels.np.linalg, "matrix_power", counted)
+        preset(name, [0.3], 7)
+        assert 0 < len(calls) <= 7
+
+    @pytest.mark.parametrize("ops,error", [
+        ([], DimensionMismatch),
+        (np.zeros((0, 2, 2)), DimensionMismatch),
+        ([np.eye(2), np.eye(3)], DimensionMismatch),
+        ([np.eye(2), np.ones((2, 3))], DimensionMismatch),
+        ([np.ones((2, 3)), np.ones((2, 3))], DimensionMismatch),
+        ([np.ones(2), np.ones(2)], NotSquare),
+        ([np.diag([1.0, np.nan])], ValueError),
+    ], ids=["empty-list", "empty-array", "mixed-shapes", "ragged", "non-square",
+            "one-dimensional", "nan"])
+    def test_malformed_input(self, ops, error):
+        with pytest.raises(error):
+            validate_channel(ops)
+
+    def test_array_input_is_copied(self):
+        ops = np.stack(AMP_DAMP_OPS)
+        c = validate_channel(ops)
+        assert c.stack.tobytes() == validate_channel(AMP_DAMP_OPS).stack.tobytes()
+        assert not np.shares_memory(ops, c.stack)
+        ops[0, 0, 0] = 5.0
+        assert c.stack[0, 0, 0] == 1.0
+
+    def test_one_kraus_sum_per_run(self, monkeypatch, tmp_path):
+        kraus_sum = KrausChannel.kraus_sum
+        calls = []
+
+        def counted(self):
+            calls.append(self.n_kraus)
+            return kraus_sum(self)
+
+        monkeypatch.setattr(KrausChannel, "kraus_sum", counted)
+        golden = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                              "amplitude_damping_golden.json")
+        assert cli.main(["run", golden, "--out", str(tmp_path), "--quiet"]) == 0
+        assert calls == [2]

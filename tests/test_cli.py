@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from fluctlab.cli import main
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 GOLDEN_FILE = os.path.join(SCENARIO_DIR, "amplitude_damping_golden.json")
 
 GOLDEN = {
@@ -250,3 +253,52 @@ class TestScenarioParsing:
             main(["sweep", GOLDEN_FILE])  # missing --param/--values
         assert err.value.code == 1
         assert "error:" in capsys.readouterr().err
+
+
+# (command, field, value): scenario-file tolerances on run and sweep, and
+# the --tol flag on every command
+BAD_TOLERANCES = [
+    (command, field, value)
+    for command in ("run", "sweep")
+    for field in ("identity_rtol", "bin_tol_scale")
+    for value in (float("nan"), 0.0, -1.0)
+] + [
+    (command, "--tol", value)
+    for command in ("run", "sweep", "batch")
+    for value in ("nan", "-1", "0")
+]
+
+
+@pytest.mark.parametrize("command,field,value", BAD_TOLERANCES)
+def test_bad_tolerance_exits_1(tmp_path, capsys, command, field, value):
+    if field == "--tol":
+        path, flags = GOLDEN_FILE, ["--tol", value]
+    else:
+        path = write_scenario(tmp_path / "bad.json", base_doc(tolerances={field: value}))
+        flags = []
+    if command == "sweep":
+        flags += ["--param", "beta", "--values", "1"]
+    if command == "batch":
+        path = os.path.join(SCENARIO_DIR, "batch_unital.json")
+    code = main([command, path, "--out", str(tmp_path / "o"), "--quiet"] + flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and field in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args,code", [
+    ([os.path.join(SCENARIO_DIR, "identity.json")], 0),
+    ([os.path.join(SCENARIO_DIR, "no_such_file.json")], 1),
+    ([GOLDEN_FILE, "--tol", "1e-300"], 2),
+])
+def test_module_entry_point_exit_codes(tmp_path, args, code):
+    # python -m fluctlab runs __main__.py, which calls cli.entrypoint
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC_DIR))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fluctlab", "run", *args, "--out", str(tmp_path / "o"),
+         "--quiet"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert ("error:" in proc.stderr) == (code == 1)
