@@ -31,6 +31,7 @@ from .errors import (
     DimensionMismatch,
     FluctLabError,
     InvalidBeta,
+    NonFinite,
     NotHermitian,
     NotSquare,
     NotTracePreserving,

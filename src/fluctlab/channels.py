@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    NonFinite,
     NotSquare,
     NotTracePreserving,
     ParamOutOfRange,
@@ -126,7 +127,7 @@ def _channel(stack: np.ndarray, label: str) -> KrausChannel:
             f"Kraus operators must all be {d}x{d}, got shape {stack.shape[1:]}"
         )
     if not np.isfinite(stack).all():
-        raise ValueError("Kraus operators contain non-finite entries")
+        raise NonFinite("Kraus operators contain non-finite entries")
     stack.flags.writeable = False
     dev = float(np.max(np.abs(_tp_sum(stack) - np.eye(d))))
     if dev > TP_TOL:

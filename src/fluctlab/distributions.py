@@ -21,7 +21,6 @@ mass-weighted mean of its members (which keeps first moments exact).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -236,8 +235,7 @@ def kl_divergence(pf: EnergyDistribution, pb: EnergyDistribution) -> float:
 
 def write_distribution_csv(p: EnergyDistribution, path) -> None:
     """Two-column CSV (delta_u, mass) at 17 significant digits."""
+    rows = "".join(f"{x:.17g},{w:.17g}\n"
+                   for x, w in zip(p.delta_u.tolist(), p.mass.tolist()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["delta_u", "mass"])
-        for x, w in zip(p.delta_u, p.mass):
-            writer.writerow([format(float(x), ".17g"), format(float(w), ".17g")])
+        fh.write("delta_u,mass\n" + rows)

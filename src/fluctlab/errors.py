@@ -9,6 +9,10 @@ class NotSquare(FluctLabError):
     """A matrix expected to be square is not."""
 
 
+class NonFinite(FluctLabError, ValueError):
+    """A matrix or Kraus operator has a NaN or infinite entry."""
+
+
 class NotHermitian(FluctLabError):
     """A matrix deviates from its own adjoint beyond tolerance."""
 

@@ -69,6 +69,25 @@ def _parse_complex_entry(entry):
     raise ScenarioError(f"matrix entry must be a number or [re, im] pair, got {entry!r}")
 
 
+def _regular_matrix(obj) -> Optional[np.ndarray]:
+    """obj as a complex matrix if it is a regular array of numbers or of [re, im]
+    pairs, in one conversion; else None, leaving obj and every error message
+    to the per-entry parser."""
+    try:
+        a = np.array(obj)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    # strings, bools, None and big integers give other dtype kinds
+    if a.dtype.kind not in "iuf":
+        return None
+    if a.ndim == 2:
+        return a.astype(complex)
+    if a.ndim == 3 and a.shape[2] == 2:
+        # each C-ordered (re, im) float pair is one complex128
+        return np.ascontiguousarray(a, dtype=float).view(complex).reshape(a.shape[:2])
+    return None
+
+
 def parse_matrix(obj, context: str = "matrix") -> np.ndarray:
     """Dense matrix from nested [re, im] rows or a {"diag": [...]} shorthand."""
     if isinstance(obj, dict):
@@ -77,6 +96,9 @@ def parse_matrix(obj, context: str = "matrix") -> np.ndarray:
         return np.diag([float(v) for v in obj["diag"]]).astype(complex)
     if not isinstance(obj, list) or not obj:
         raise ScenarioError(f"{context}: expected a non-empty nested array")
+    regular = _regular_matrix(obj)
+    if regular is not None:
+        return regular
     try:
         rows = [[_parse_complex_entry(e) for e in row] for row in obj]
     except TypeError as exc:

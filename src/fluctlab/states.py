@@ -21,6 +21,7 @@ from .linalg import (
     HERMITICITY_TOL,
     SpectralDecomposition,
     as_complex_matrix,
+    eigenbasis_diagonal,
     hermitian_eig,
     hermiticity_deviation,
 )
@@ -159,7 +160,7 @@ def relative_entropy(rho, sigma) -> float:
         raise DimensionMismatch(f"state dimensions differ: {r.shape} vs {s.shape}")
     sw, sv = np.linalg.eigh((s + s.conj().T) / 2)
     sw = np.clip(sw, 0.0, 1.0)
-    diag = np.einsum("ik,ij,jk->k", sv.conj(), r, sv).real
+    diag = eigenbasis_diagonal(sv, r)
     kernel = sw <= EIG_CLAMP
     if kernel.any():
         leak = float(diag[kernel].sum())
@@ -178,8 +179,7 @@ def _reference_entropy(r: np.ndarray, reference: ThermalState) -> float:
         raise DimensionMismatch(
             f"state dimension {r.shape[0]} differs from reference {reference.dim}"
         )
-    v = reference.hamiltonian.spectrum.eigenvectors
-    diag = np.einsum("ik,ij,jk->k", v.conj(), r, v).real
+    diag = eigenbasis_diagonal(reference.hamiltonian.spectrum.eigenvectors, r)
     return float(-(diag * reference.log_populations).sum())
 
 

@@ -287,6 +287,31 @@ def test_bad_tolerance_exits_1(tmp_path, capsys, command, field, value):
     assert not (tmp_path / "o").exists()
 
 
+NAN = float("nan")
+
+# scenario fields that carry a NaN or infinite matrix entry
+NON_FINITE_DOCS = {
+    "h_initial-diag": dict(h_initial={"diag": [NAN, 1.0]}),
+    "h_final-dense": dict(h_final=[[[float("inf"), 0.0], [0.0, 0.0]],
+                                   [[0.0, 0.0], [1.0, 0.0]]]),
+    "kraus-nan": dict(channel={"kraus": [[[1.0, 0.0], [0.0, NAN]]]}),
+    "kraus-inf": dict(channel={"kraus": [[[[1.0, 0.0], [0.0, 0.0]],
+                                          [[0.0, 0.0], [float("-inf"), 0.0]]]]}),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("fields", NON_FINITE_DOCS.values(), ids=NON_FINITE_DOCS)
+def test_non_finite_entries_exit_1(tmp_path, capsys, command, fields):
+    path = write_scenario(tmp_path / "bad.json", base_doc(**fields))
+    flags = ["--param", "beta", "--values", "1"] if command == "sweep" else []
+    code = main([command, path, "--out", str(tmp_path / "o"), "--quiet"] + flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("args,code", [
     ([os.path.join(SCENARIO_DIR, "identity.json")], 0),
     ([os.path.join(SCENARIO_DIR, "no_such_file.json")], 1),

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from fluctlab import (
     renormalize_backward,
     tpm_distributions,
     validate_channel,
+    write_distribution_csv,
 )
 
 # frozen against the brute-force TPM enumeration oracle (tests/oracle.py)
@@ -317,3 +320,22 @@ class TestOracleCrossCheck:
             np.testing.assert_allclose(got.mass, [w for _, w in want], rtol=0, atol=1e-12)
         kl = kl_divergence(pf, renormalize_backward(pb_raw))
         assert abs(kl - oracle.kl_from_atoms(want_f, want_b, tol=pf.bin_tolerance)) < 1e-12
+
+
+EXTREME_ATOMS = list(zip(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1 / 3,
+     -0.26894142136999516, 2.0**53 + 2, np.nextafter(1.0, 2.0)],
+    [5e-324, -0.0, 1e300, 0.7310585786300049, 1 / 7, 0.0,
+     1e-17, 123456789.12345678, 1.0, np.nextafter(0.0, 1.0), 2.5]))
+
+
+@pytest.mark.parametrize("atoms", [EXTREME_ATOMS, []], ids=["extreme", "empty"])
+def test_csv_bytes_match_csv_writer(tmp_path, atoms):
+    path, ref_path = tmp_path / "p.csv", tmp_path / "ref.csv"
+    write_distribution_csv(make_dist(atoms), path)
+    with open(ref_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["delta_u", "mass"])
+        for x, w in atoms:
+            writer.writerow([format(float(x), ".17g"), format(float(w), ".17g")])
+    assert path.read_bytes() == ref_path.read_bytes()

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fluctlab import NotHermitian, NotSquare, hermitian_eig
+from fluctlab import NonFinite, NotHermitian, NotSquare, hermitian_eig
+from fluctlab.linalg import as_complex_matrix, eigenbasis_diagonal
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -45,3 +46,23 @@ class TestHermitianEig:
             scale = max(np.linalg.norm(m), 1.0)
             assert np.linalg.norm(dec.reconstruct() - m) / scale < 1e-10
             assert dec.unitarity_deviation() < 1e-10
+
+
+class TestEigenbasisDiagonal:
+    @pytest.mark.parametrize("d", [1, 2, 5, 24, 64])
+    def test_matches_per_column_products(self, d):
+        rng = np.random.default_rng(d)
+        v = np.linalg.eigh(random_hermitian(rng, d))[1]
+        m = random_hermitian(rng, d)
+        expected = np.array([(v[:, k].conj() @ m @ v[:, k]).real for k in range(d)])
+        got = eigenbasis_diagonal(v, m)
+        assert got.shape == (d,) and got.dtype == float
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * d)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_is_refused(bad):
+    with pytest.raises(NonFinite, match="non-finite") as err:
+        as_complex_matrix(np.diag([1.0, bad]))
+    # still a ValueError for callers that catch the numpy-style error
+    assert isinstance(err.value, ValueError)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from fluctlab import (
     DimensionMismatch,
     Hamiltonian,
@@ -178,3 +179,21 @@ class TestStateEntropies:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             state_entropies(np.eye(3) / 3.0, gibbs_state(H01, 1.0))
+
+
+def random_density(rng, dim):
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = z @ z.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("dim", [24, 64])
+def test_entropies_match_oracle_at_large_dim(dim):
+    rng = np.random.default_rng(dim)
+    h = random_hamiltonian(dim, int(rng.integers(2**63 - 1)))
+    ts = gibbs_state(h, 1.5)
+    rho_eq = oracle.gibbs_matrix(h.matrix, 1.5)
+    for rho in (random_density(rng, dim), ts.state):
+        rel = oracle.rel_entropy(rho, rho_eq)
+        assert abs(relative_entropy(rho, rho_eq) - rel) < 1e-12
+        assert abs(nonequilibrium_entropy(rho, ts) - (rel + oracle.vn_entropy(rho))) < 1e-12
