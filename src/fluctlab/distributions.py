@@ -13,7 +13,10 @@ therefore come from one table and one binning, live on the same DeltaU axis
 and align index-to-index; the backward total mass is gamma, the
 non-unitality correction tr[sum_l A_l A_l^dag rho'_eq].
 
-Delta-distributions are represented as finite atom lists. Floating-point
+Delta-distributions are finite atom lists of log masses. An entry
+p(n|m) = 0 is -inf on both sides and every other entry's forward/backward
+log ratio is beta (DeltaU - DeltaF), so support comes from the table: an
+atom has mass on one side iff on the other, at any beta > 0. Floating-point
 gaps are merged deterministically: sorted values chain into one bin while
 consecutive gaps stay within the bin tolerance, and each bin sits at the
 mass-weighted mean of its members (which keeps first moments exact).
@@ -29,11 +32,6 @@ from .channels import KrausChannel, _kraus_block_sum
 from .errors import DimensionMismatch, SupportMismatch, ZeroMass
 from .states import Hamiltonian, ThermalState
 
-# An atom mass below ABSENT_MASS counts as zero, above PRESENT_MASS as
-# definitely there; the gap between the two prevents flapping near round-off.
-ABSENT_MASS = 1e-14
-PRESENT_MASS = 1e-12
-
 BIN_TOL_BASE = 1e-9
 
 
@@ -41,15 +39,22 @@ BIN_TOL_BASE = 1e-9
 class EnergyDistribution:
     """Discrete distribution over energy-change atoms, sorted ascending.
 
-    Zero-mass atoms are kept: they record the transition lattice shared by
-    the forward and backward constructions, where a mass vanishes on one
-    side iff it vanishes on the other.
+    ``log_mass`` is the natural log of each atom's mass. Atoms at -inf are
+    kept: they record the transition lattice shared by the forward and
+    backward constructions, where a mass vanishes on one side iff on the other.
     """
 
     delta_u: np.ndarray
-    mass: np.ndarray
-    total_mass: float
+    log_mass: np.ndarray
     bin_tolerance: float
+
+    @property
+    def mass(self) -> np.ndarray:
+        return np.exp(self.log_mass)
+
+    @property
+    def total_mass(self) -> float:
+        return float(self.mass.sum())
 
     @property
     def n_atoms(self) -> int:
@@ -65,42 +70,27 @@ def default_bin_tolerance(h_initial: Hamiltonian, h_final: Hamiltonian,
     return BIN_TOL_BASE * max(1.0, span) * float(scale)
 
 
-def _bin_sums(a: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """Sum a along axis 0 over the bins that start at heads.
-
-    reduceat starts each bin from its first element, ndarray.sum from 0; a
-    zero put ahead of every bin makes the two agree to the last bit.
-    """
-    padded = np.insert(a, heads, 0.0, axis=0)
-    return np.add.reduceat(padded, heads + np.arange(len(heads)), axis=0)
-
-
-def _bin_atoms(gaps: np.ndarray, weights: np.ndarray, tol: float):
+def _bin_atoms(gaps: np.ndarray, log_weights: np.ndarray, tol: float):
     """Merge delta-atoms whose positions chain within tol of each other.
 
-    weights has one column per distribution; every column shares the bins,
-    and each keeps its own mass-weighted bin positions.
+    log_weights has one column per distribution; every column shares the
+    bins, and each keeps its own mass-weighted bin positions. Each bin is
+    summed relative to its largest weight, so no weight underflows.
     """
     order = np.argsort(gaps, kind="stable")
     g = gaps[order]
-    w = weights[order]
+    lw = log_weights[order]
     heads = np.concatenate(([0], np.flatnonzero(np.diff(g) > tol) + 1))
-    masses = _bin_sums(w, heads)
-    moments = _bin_sums(g[:, np.newaxis] * w, heads)
-    means = _bin_sums(g, heads) / np.diff(np.append(heads, len(g)))
+    sizes = np.diff(np.append(heads, len(g)))
+    top = np.maximum.reduceat(lw, heads, axis=0)
+    top[np.isneginf(top)] = 0.0  # empty bins: every member is exp(-inf) = 0
+    w = np.exp(lw - np.repeat(top, sizes, axis=0))
+    masses = np.add.reduceat(w, heads, axis=0)
+    moments = np.add.reduceat(g[:, np.newaxis] * w, heads, axis=0)
+    means = np.add.reduceat(g, heads) / sizes
     with np.errstate(divide="ignore", invalid="ignore"):
         positions = np.where(masses > 0.0, moments / masses, means[:, np.newaxis])
-    return positions, masses
-
-
-def _distribution(positions: np.ndarray, masses: np.ndarray,
-                  tol: float) -> EnergyDistribution:
-    return EnergyDistribution(
-        delta_u=positions,
-        mass=masses,
-        total_mass=float(masses.sum()),
-        bin_tolerance=tol,
-    )
+        return positions, top + np.log(masses)
 
 
 def tpm_distributions(c: KrausChannel, init_eq: ThermalState, final_eq: ThermalState,
@@ -109,9 +99,9 @@ def tpm_distributions(c: KrausChannel, init_eq: ThermalState, final_eq: ThermalS
     """Forward P_F (total mass 1) and the unnormalized backward distribution.
 
     Both come from one table p(n|m) and one binning of its gaps, so their
-    atoms line up index-to-index. The backward atoms are stored on the
-    forward DeltaU axis (at E'_n - E_m, not its negative); their total mass
-    is gamma.
+    atoms line up index-to-index and carry mass on exactly the same atoms.
+    The backward atoms are stored on the forward DeltaU axis (at
+    E'_n - E_m, not its negative); their total mass is gamma.
     """
     if c.dim != init_eq.dim or c.dim != final_eq.dim:
         raise DimensionMismatch(
@@ -122,15 +112,17 @@ def tpm_distributions(c: KrausChannel, init_eq: ThermalState, final_eq: ThermalS
     vf_dag = h_f.spectrum.eigenvectors.conj().T
     vi = h_i.spectrum.eigenvectors
     probs = _kraus_block_sum(c.stack, lambda k: np.abs(vf_dag @ k @ vi) ** 2)
-    weights = np.stack([
-        (probs * init_eq.populations[np.newaxis, :]).ravel(),
-        (probs * final_eq.populations[:, np.newaxis]).ravel(),
+    with np.errstate(divide="ignore"):
+        log_probs = np.log(probs)
+    log_weights = np.stack([
+        (log_probs + init_eq.log_populations[np.newaxis, :]).ravel(),
+        (log_probs + final_eq.log_populations[:, np.newaxis]).ravel(),
     ], axis=1)
     gaps = np.subtract.outer(h_f.energies, h_i.energies).ravel()
     tol = default_bin_tolerance(h_i, h_f, bin_tol_scale)
-    positions, masses = _bin_atoms(gaps, weights, tol)
-    return (_distribution(positions[:, 0], masses[:, 0], tol),
-            _distribution(positions[:, 1], masses[:, 1], tol))
+    positions, log_masses = _bin_atoms(gaps, log_weights, tol)
+    return (EnergyDistribution(positions[:, 0], log_masses[:, 0], tol),
+            EnergyDistribution(positions[:, 1], log_masses[:, 1], tol))
 
 
 def gamma_of(c: KrausChannel, final_eq: ThermalState) -> float:
@@ -147,12 +139,18 @@ def gamma_of_sum(kraus_sum: np.ndarray, final_eq: ThermalState) -> float:
     return float(np.trace(kraus_sum @ final_eq.state).real)
 
 
+def _log_total(log_mass: np.ndarray) -> float:
+    """log of sum exp(log_mass), summed relative to the largest term."""
+    top = float(log_mass.max(initial=-np.inf))
+    return top if top == -np.inf else top + float(np.log(np.exp(log_mass - top).sum()))
+
+
 def renormalize_backward(p: EnergyDistribution) -> EnergyDistribution:
     """Divide the backward masses by gamma so they sum to one."""
-    if p.total_mass <= 0.0:
+    log_total = _log_total(p.log_mass)
+    if log_total == -np.inf:
         raise ZeroMass("cannot renormalize a distribution with no mass")
-    mass = p.mass / p.total_mass
-    return replace(p, delta_u=p.delta_u.copy(), mass=mass, total_mass=float(mass.sum()))
+    return replace(p, delta_u=p.delta_u.copy(), log_mass=p.log_mass - log_total)
 
 
 def exp_average(p: EnergyDistribution, coefficient: float, offset: float = 0.0) -> float:
@@ -160,77 +158,63 @@ def exp_average(p: EnergyDistribution, coefficient: float, offset: float = 0.0) 
 
     With coefficient -beta and offset beta DeltaF on P_F this evaluates the
     exponential average that equals gamma; with +beta and -beta DeltaF on
-    the raw backward distribution it equals 1.
+    the raw backward distribution it equals 1. Evaluated as a log-sum-exp,
+    so no term overflows or underflows on its way to the sum.
     """
-    live = p.mass > 0.0
-    if not live.any():
-        return 0.0
-    return float((p.mass[live] * np.exp(coefficient * p.delta_u[live] + offset)).sum())
+    return float(np.exp(_log_total(p.log_mass + coefficient * p.delta_u + offset)))
 
 
-def _check_aligned(pf: EnergyDistribution, pb: EnergyDistribution) -> None:
+def _common_support(pf: EnergyDistribution, pb: EnergyDistribution) -> np.ndarray:
+    """Mask of the atoms with mass; SupportMismatch unless both sides agree on it.
+
+    Distributions from one tpm_distributions call always agree exactly.
+    """
     if pf.n_atoms != pb.n_atoms:
         raise SupportMismatch(
             f"forward and backward distributions have {pf.n_atoms} and "
             f"{pb.n_atoms} atoms; they must come from one tpm_distributions call"
         )
+    live_f, live_b = pf.log_mass > -np.inf, pb.log_mass > -np.inf
+    one_sided = live_f != live_b
+    if one_sided.any():
+        i = int(np.argmax(one_sided))
+        side, other = ("forward", "backward") if live_f[i] else ("backward", "forward")
+        raise SupportMismatch(f"atom at DeltaU={float(pf.delta_u[i])!r} has {side} "
+                              f"mass without {other} support")
+    return live_f
 
 
 def crooks_residual(pf: EnergyDistribution, pb: EnergyDistribution,
                     beta: float, delta_f: float, x: float) -> float:
-    """Max over common atoms of |log(P_F/P_B) - beta (DeltaU - DeltaF - X)|.
+    """Max over live atoms of |log P_F - log P_B - beta (DeltaU - DeltaF - X)|.
 
     pb must be the renormalized backward distribution, aligned atom for
-    atom with pf. Atoms absent on both sides are skipped; an atom clearly
-    present on one side but absent on the other raises SupportMismatch,
-    which signals either a bug or a mass that underflowed the thresholds.
+    atom with pf. Atoms without mass on either side are skipped; an atom
+    with mass on one side only raises SupportMismatch. Both are read from
+    the log masses exactly, so the residual holds at any beta > 0.
     """
     if abs(pb.total_mass - 1.0) > 1e-6:
         raise ZeroMass(
             f"backward distribution must be renormalized, total mass {pb.total_mass!r}"
         )
-    _check_aligned(pf, pb)
-    f, b = pf.mass, pb.mass
-    absent_f, absent_b = f < ABSENT_MASS, b < ABSENT_MASS
-    one_sided = (absent_f != absent_b) & (np.maximum(f, b) > PRESENT_MASS)
-    if one_sided.any():
-        i = int(np.argmax(one_sided))
-        raise SupportMismatch(
-            f"atom at DeltaU={float(pf.delta_u[i])!r} has mass "
-            f"{max(f[i], b[i]):.3e} on one side only"
-        )
-    both = ~absent_f & ~absent_b
-    if not both.any():
-        return 0.0
-    residual = np.abs(np.log(f[both] / b[both])
-                      - beta * (pf.delta_u[both] - delta_f - x))
-    return float(residual.max())
+    live = _common_support(pf, pb)
+    residual = np.abs(pf.log_mass[live] - pb.log_mass[live]
+                      - beta * (pf.delta_u[live] - delta_f - x))
+    return float(residual.max(initial=0.0))
 
 
 def kl_divergence(pf: EnergyDistribution, pb: EnergyDistribution) -> float:
-    """K[P_F || P_B] = sum P_F log(P_F/P_B) over atoms with forward mass.
+    """K[P_F || P_B] = sum P_F (log P_F - log P_B) over the live atoms.
 
-    Both inputs must be normalized and aligned atom for atom. Forward mass
-    where the backward side is absent raises SupportMismatch (the
-    divergence would be infinite).
+    Both inputs must be normalized and aligned atom for atom. An atom with
+    mass on one side only raises SupportMismatch (with forward mass alone
+    the divergence would be infinite).
     """
-    _check_aligned(pf, pb)
-    f, b = pf.mass, pb.mass
-    live = f >= ABSENT_MASS
-    unsupported = live & (b < ABSENT_MASS)
-    missing = unsupported & (f > PRESENT_MASS)
-    if missing.any():
-        i = int(np.argmax(missing))
-        raise SupportMismatch(
-            f"forward mass {f[i]:.3e} at DeltaU={float(pf.delta_u[i])!r} "
-            f"without backward support"
-        )
-    use = live & ~unsupported
-    terms = f[use] * np.log(f[use] / b[use])
-    if terms.size == 0:
-        return 0.0
+    live = _common_support(pf, pb)
+    lf, lb = pf.log_mass[live], pb.log_mass[live]
+    terms = np.exp(lf) * (lf - lb)
     # a running sum in atom order; a pairwise .sum() moves the last digit
-    return float(np.cumsum(terms)[-1])
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 def write_distribution_csv(p: EnergyDistribution, path) -> None:

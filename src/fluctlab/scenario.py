@@ -61,12 +61,15 @@ class BatchSpec:
     unital_only: bool = False
 
 
+# matrix entries: strings are refused even where float() would read them
+_NUMBER = (int, float)
+
+
 def _parse_complex_entry(entry):
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return complex(float(entry[0]), float(entry[1]))
-    raise ScenarioError(f"matrix entry must be a number or [re, im] pair, got {entry!r}")
+    pair = entry if isinstance(entry, (list, tuple)) and len(entry) == 2 else (entry, 0)
+    if not all(isinstance(v, _NUMBER) for v in pair):
+        raise ScenarioError(f"matrix entry must be a number or [re, im] pair, got {entry!r}")
+    return complex(float(pair[0]), float(pair[1]))
 
 
 def _regular_matrix(obj) -> Optional[np.ndarray]:
@@ -90,10 +93,20 @@ def _regular_matrix(obj) -> Optional[np.ndarray]:
 
 def parse_matrix(obj, context: str = "matrix") -> np.ndarray:
     """Dense matrix from nested [re, im] rows or a {"diag": [...]} shorthand."""
+    try:
+        return _parse_matrix(obj, context)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ScenarioError(f"{context}: entry out of floating-point range: {exc}") from exc
+
+
+def _parse_matrix(obj, context: str) -> np.ndarray:
     if isinstance(obj, dict):
         if "diag" not in obj:
             raise ScenarioError(f"{context}: expected a 'diag' key, got {sorted(obj)}")
-        return np.diag([float(v) for v in obj["diag"]]).astype(complex)
+        diag = obj["diag"]
+        if not isinstance(diag, list) or not all(isinstance(v, _NUMBER) for v in diag):
+            raise ScenarioError(f"{context}: 'diag' must be a list of numbers, got {diag!r}")
+        return np.diag([float(v) for v in diag]).astype(complex)
     if not isinstance(obj, list) or not obj:
         raise ScenarioError(f"{context}: expected a non-empty nested array")
     regular = _regular_matrix(obj)
@@ -153,7 +166,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         seed = int(doc.get("seed", 0))
     except KeyError as exc:
         raise ScenarioError(f"scenario: missing required key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"scenario: bad scalar field: {exc}") from exc
     if dim < 2:
         raise ScenarioError(f"scenario: dim must be >= 2, got {dim}")
@@ -198,7 +211,7 @@ def batch_from_dict(doc: dict) -> BatchSpec:
         unital_only = bool(doc.get("unital_only", False))
     except KeyError as exc:
         raise ScenarioError(f"batch: missing required key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"batch: bad field: {exc}") from exc
     if count < 1:
         raise ScenarioError(f"batch: count must be >= 1, got {count}")
@@ -216,9 +229,9 @@ def batch_from_dict(doc: dict) -> BatchSpec:
 def random_hamiltonian(dim: int, seed: int) -> Hamiltonian:
     """Random Hermitian with eigenvalues uniform in [0, 1] and Haar eigenvectors.
 
-    Keeping the spectral range bounded keeps every thermal weight of the
-    batch corpus (beta up to 5) far above the absent/present mass
-    thresholds of the distribution comparisons.
+    With the spectral range below 1, beta bounds every thermal exponent
+    beta (E - E_min) of the state; the identities hold at any beta > 0,
+    since the distributions carry exact log masses.
     """
     rng = np.random.default_rng(int(seed))
     energies = np.sort(rng.random(dim))

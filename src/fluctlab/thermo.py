@@ -160,8 +160,9 @@ def scenario_artifacts(scenario: Scenario) -> ScenarioArtifacts:
 
     # Stable at any beta: the thermal log-populations are exact, unlike a
     # generic relative-entropy call whose support threshold can clip them.
+    # For the Gibbs state itself both entropies are -sum p log p, exactly.
     s_v_out, s_neq_out = state_entropies(rho_out, final_eq)
-    s_v_in, s_neq_in = state_entropies(init_eq.state, init_eq)
+    s_v_in = s_neq_in = float(-(init_eq.populations * init_eq.log_populations).sum())
     s_r_final = s_neq_out - s_v_out
     ds_state = s_neq_out - s_neq_in
 

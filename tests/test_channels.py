@@ -143,18 +143,19 @@ class TestStackedSums:
         assert np.array_equal(c.kraus_sum(), self.loop_sum(ops, lambda a: a @ a.conj().T))
         assert np.array_equal(_tp_sum(c.stack), self.loop_sum(ops, lambda a: a.conj().T @ a))
 
-        # generic spectra: every gap is its own atom, so the masses are the
-        # table entries in gap order
+        # generic spectra: every gap is its own atom, so the log masses are
+        # the log table entries in gap order
         vf_dag = final.hamiltonian.spectrum.eigenvectors.conj().T
         vi = init.hamiltonian.spectrum.eigenvectors
-        probs = self.loop_sum(ops, lambda a: np.abs(vf_dag @ a @ vi) ** 2)
+        log_probs = np.log(self.loop_sum(ops, lambda a: np.abs(vf_dag @ a @ vi) ** 2))
         gaps = np.subtract.outer(final.hamiltonian.energies, init.hamiltonian.energies)
         order = np.argsort(gaps.ravel(), kind="stable")
         pf, pb_raw = tpm_distributions(c, init, final)
         assert pf.n_atoms == c.dim**2
-        assert np.array_equal(pf.mass, (probs * init.populations).ravel()[order])
-        assert np.array_equal(pb_raw.mass,
-                              (probs * final.populations[:, np.newaxis]).ravel()[order])
+        assert np.array_equal(pf.log_mass,
+                              (log_probs + init.log_populations).ravel()[order])
+        assert np.array_equal(pb_raw.log_mass,
+                              (log_probs + final.log_populations[:, np.newaxis]).ravel()[order])
 
     def test_operators_are_read_only_views_of_the_stack(self):
         c = self.CHANNELS[65]()

@@ -194,6 +194,25 @@ class TestBatch:
                      "--quiet"]) == 0
         assert (out_a / "batch.csv").read_text() != (out_b / "batch.csv").read_text()
 
+    def test_large_beta_campaign(self, tmp_path):
+        # thermal populations down to exp(-40) and below: every seed passes
+        out = tmp_path / "o"
+        doc = {"count": 40, "dim_range": [2, 8], "n_kraus_range": [1, 6],
+               "beta_set": [40.0], "seed": 4040}
+        path = write_scenario(tmp_path / "spec.json", doc)
+        assert main(["batch", path, "--out", str(out), "--quiet"]) == 0
+        lines = (out / "batch.csv").read_text().splitlines()
+        assert len(lines) == 41
+        assert max(float(line.split(",")[-1]) for line in lines[1:]) < 1e-8
+        assert "result: PASS" in (out / "batch_summary.txt").read_text()
+
+    def test_huge_beta_in_spec(self, tmp_path, capsys):
+        path = write_scenario(tmp_path / "spec.json", {"count": 1, "dim_range": [2, 3],
+                                                       "beta_set": [10**400], "seed": 5})
+        assert main(["batch", path, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("error: batch: bad field")
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_spec(self, tmp_path, capsys):
         path = write_scenario(tmp_path / "spec.json", {"count": 0,
                                                        "dim_range": [2, 3],
@@ -309,6 +328,30 @@ def test_non_finite_entries_exit_1(tmp_path, capsys, command, fields):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "non-finite" in err
+    assert not (tmp_path / "o").exists()
+
+
+# numbers outside the float range, and numbers written as strings
+OUT_OF_DOMAIN_DOCS = {
+    "dense-huge-int": dict(h_final=[[10**400, 0], [0, 1]]),
+    "pair-huge-int": dict(h_final=[[[10**400, 0], 0], [0, 1]]),
+    "diag-huge-int": dict(h_initial={"diag": [10**400, 1]}),
+    "pair-strings": dict(h_final=[[["1", "0"], 0], [0, 1]]),
+    "diag-string": dict(h_initial={"diag": ["1", 0]}),
+    "bare-string": dict(h_final=[["1.5", 0], [0, 1]]),
+    "kraus-pair-string": dict(channel={"kraus": [[[1, 0], [0, ["1", 0]]]]}),
+    "beta-huge-int": dict(beta=10**400),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("fields", OUT_OF_DOMAIN_DOCS.values(), ids=OUT_OF_DOMAIN_DOCS)
+def test_out_of_domain_entries_exit_1(tmp_path, capsys, command, fields):
+    path = write_scenario(tmp_path / "bad.json", base_doc(**fields))
+    flags = ["--param", "beta", "--values", "1"] if command == "sweep" else []
+    code = main([command, path, "--out", str(tmp_path / "o"), "--quiet"] + flags)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "o").exists()
 
 

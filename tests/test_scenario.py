@@ -65,7 +65,20 @@ def test_irregular_documents_take_the_entry_loop(doc):
     assert scenario._regular_matrix(doc) is None
 
 
-@pytest.mark.parametrize("doc", [[["1.5"]], [[1, "2"]], [["1e3", "2"], ["3", "4"]]])
+@pytest.mark.parametrize("doc", [[["1.5"]], [[1, "2"]], [["1e3", "2"], ["3", "4"]],
+                                 [[["1", "0"]]], [[[1, "0"], 0], [0, 1]]])
 def test_strings_are_refused(doc):
     with pytest.raises(ScenarioError, match="number or \\[re, im\\] pair"):
         parse_matrix(doc)
+
+
+@pytest.mark.parametrize("diag", [["1", 0], [[1], 0], 5, None])
+def test_diag_takes_a_list_of_numbers(diag):
+    with pytest.raises(ScenarioError, match="ctx: 'diag' must be a list of numbers"):
+        parse_matrix({"diag": diag}, "ctx")
+
+
+@pytest.mark.parametrize("doc", [[[10**400]], [[[0, -10**400]]], {"diag": [1, 10**400]}])
+def test_integers_beyond_float_range_are_refused(doc):
+    with pytest.raises(ScenarioError, match="ctx: entry out of floating-point range"):
+        parse_matrix(doc, "ctx")
