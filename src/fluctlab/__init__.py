@@ -10,6 +10,7 @@ decomposition and the entropy-change law to numerical tolerance.
 from .channels import (
     KrausChannel,
     UnitalityCheck,
+    haar_isometry,
     haar_unitary,
     is_unital,
     preset,

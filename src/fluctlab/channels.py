@@ -152,14 +152,17 @@ def unitality_of_sum(kraus_sum: np.ndarray) -> UnitalityCheck:
 # Preset catalog
 # ---------------------------------------------------------------------------
 
-def haar_unitary(dim: int, seed: int) -> np.ndarray:
-    """Haar-random unitary via QR of a seeded complex Gaussian matrix.
+def haar_isometry(rows: int, cols: int, seed: int) -> np.ndarray:
+    """Haar-random isometry: reduced QR of a seeded (rows, cols) complex Gaussian.
 
     The R diagonal is phase-fixed, which makes the distribution exactly
-    Haar and the draw reproducible for a given seed.
+    Haar (the first cols columns of a Haar unitary on rows dimensions) and
+    the draw reproducible for a given seed.
     """
+    if not 0 <= cols <= rows:
+        raise ParamOutOfRange(f"an isometry needs 0 <= cols <= rows, got ({rows}, {cols})")
     rng = np.random.default_rng(int(seed))
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    z = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r).copy()
@@ -167,18 +170,26 @@ def haar_unitary(dim: int, seed: int) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def random_channel(dim: int, n_kraus: int, seed: int) -> KrausChannel:
-    """Seeded random channel from the <l|U|0> blocks of a Haar unitary.
+def haar_unitary(dim: int, seed: int) -> np.ndarray:
+    """Seeded Haar-random unitary: the square case of haar_isometry."""
+    return haar_isometry(dim, dim, seed)
 
-    Trace preservation is automatic because the blocks are the orthonormal
-    columns of a unitary on dim * n_kraus dimensions.
+
+def random_channel(dim: int, n_kraus: int, seed: int) -> KrausChannel:
+    """Seeded random channel from the blocks of a Haar isometry.
+
+    V = haar_isometry(dim * n_kraus, dim, seed) is cut into the operators
+    A_l[i, j] = V[i * n_kraus + l, j]. Trace preservation is automatic,
+    since sum_l A_l^dag A_l = V^dag V is the identity. A Haar isometry is
+    any dim columns of a Haar unitary, so the channel is distributed as the
+    Stinespring blocks <l|U|0> of a Haar unitary on dim * n_kraus
+    dimensions; with n_kraus = 1 it is haar_unitary(dim, seed) itself.
     """
     if n_kraus < 1:
         raise ParamOutOfRange(f"n_kraus must be >= 1, got {n_kraus}")
-    u = haar_unitary(dim * n_kraus, seed)
-    u4 = u.reshape(dim, n_kraus, dim, n_kraus)
-    # validate_channel copies the blocks, so the channel does not keep u alive
-    return validate_channel(u4[:, :, :, 0].transpose(1, 0, 2),
+    v = haar_isometry(dim * n_kraus, dim, seed)
+    # validate_channel copies the blocks into one C-ordered stack
+    return validate_channel(v.reshape(dim, n_kraus, dim).transpose(1, 0, 2),
                             label=f"random(seed={seed}, n_kraus={n_kraus})")
 
 
@@ -233,7 +244,7 @@ def preset(name: str, params: Sequence[float] = (), dim: int = 2) -> KrausChanne
     thermal_attenuator       (p, nbar)         qubit damping towards a thermal
                                                environment with mean occupation
                                                nbar (nbar=0 is pure damping)
-    random                   (seed, n_kraus)   Haar dilation blocks
+    random                   (seed, n_kraus)   blocks of a Haar isometry
 
     Probabilities must lie in [0, 1]; nbar must be >= 0. Seeded presets are
     bit-reproducible for a fixed seed on a given build.

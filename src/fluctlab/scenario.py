@@ -122,6 +122,22 @@ def _parse_matrix(obj, context: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def _preset_params(raw) -> list:
+    """channel.params as floats; entries must be JSON numbers, as matrix entries are."""
+    if not isinstance(raw, list):
+        raise ScenarioError(f"channel.params: expected a list of numbers, got {raw!r}")
+    params = []
+    for i, v in enumerate(raw):
+        if not isinstance(v, _NUMBER):
+            raise ScenarioError(f"channel.params[{i}]: expected a number, got {v!r}")
+        try:
+            params.append(float(v))
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ScenarioError(
+                f"channel.params[{i}]: entry out of floating-point range: {exc}") from exc
+    return params
+
+
 def parse_channel(obj, dim: int, seed: int) -> KrausChannel:
     """Channel from a preset spec or an explicit Kraus list.
 
@@ -137,7 +153,7 @@ def parse_channel(obj, dim: int, seed: int) -> KrausChannel:
         return validate_channel(mats, label="explicit")
     if "preset" in obj:
         name = obj["preset"]
-        params = [float(v) for v in obj.get("params", [])]
+        params = _preset_params(obj.get("params", []))
         want = _SEEDED_PRESETS.get(name)
         if want is not None and len(params) == want - 1:
             params = [float(seed)] + params

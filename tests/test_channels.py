@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -13,6 +14,7 @@ from fluctlab import (
     UnknownPreset,
     exp_average,
     gibbs_state,
+    haar_isometry,
     haar_unitary,
     is_unital,
     preset,
@@ -307,6 +309,74 @@ def loop_preset(name, p, dim):
     return ops
 
 
+def full_qr_haar_unitary(dim, seed):
+    """Reference Haar unitary: full QR of a square seeded Gaussian, phase-fixed."""
+    rng = np.random.default_rng(int(seed))
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    z /= np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r).copy()
+    diag[diag == 0] = 1.0
+    return q * (diag / np.abs(diag))
+
+
+class TestHaarDraws:
+    """haar_unitary keeps its draw; haar_isometry is Haar distributed."""
+
+    SEEDS = (0, 77, 2**63 - 2)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 12, 64])
+    def test_haar_unitary_bytes_unchanged(self, dim):
+        for seed in self.SEEDS:
+            assert haar_unitary(dim, seed).tobytes() == full_qr_haar_unitary(dim, seed).tobytes()
+
+    def test_haar_unitary_digest(self):
+        # sha256 of the full-QR draws rounded to 10 decimals; the rounding
+        # absorbs the last-bit differences between BLAS builds
+        h = hashlib.sha256()
+        for dim in (1, 2, 5, 12):
+            for seed in self.SEEDS:
+                h.update(np.round(haar_unitary(dim, seed), 10).tobytes())
+        assert h.hexdigest() == (
+            "84e2f80b70d86f2909519ba5e604bc314456de5751f144a7b8c969cb92b722c1")
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (4, 1), (12, 3), (48, 6)])
+    def test_isometry(self, rows, cols):
+        v = haar_isometry(rows, cols, 5)
+        assert v.shape == (rows, cols)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(cols), atol=1e-13)
+
+    def test_more_columns_than_rows_refused(self):
+        with pytest.raises(ParamOutOfRange):
+            haar_isometry(2, 3, 0)
+
+    # N draws of a (M, D) isometry at seeds 0..N-1; the sample size and both
+    # bounds were fixed before the first run, at four standard deviations
+    M, D, N = 12, 3, 2000
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        return np.stack([haar_isometry(self.M, self.D, s) for s in range(self.N)])
+
+    def test_diagonal_has_no_preferred_phase(self, draws):
+        # Haar is invariant under V -> diag(e^{i theta}) V, so E Re V_jj = 0, with
+        # variance 1/(2 M) per entry. Without the phase fix of the R diagonal, QR
+        # returns a V_jj with a negative real part on average.
+        mean = draws[:, np.arange(self.D), np.arange(self.D)].real.mean()
+        assert abs(mean) < 4.0 * np.sqrt(1.0 / (self.M * self.N * self.D))
+
+    def test_fourth_moment(self, draws):
+        # a Haar column is uniform on the unit sphere of C^M, where
+        # E|v_i|^(2k) = k! (M-1)! / (M+k-1)!
+        m = self.M
+        e4 = 2.0 / (m * (m + 1))
+        var4 = 24.0 / (m * (m + 1) * (m + 2) * (m + 3)) - e4**2
+        # the M D entries of one draw are averaged first; whatever their
+        # correlation, that mean has variance at most var4, and draws are independent
+        per_draw = (np.abs(draws) ** 4).mean(axis=(1, 2))
+        assert abs(per_draw.mean() - e4) < 4.0 * np.sqrt(var4 / self.N)
+
+
 class TestArrayBuiltChannels:
     """Channels built as one array equal the per-operator constructions, byte for byte.
 
@@ -336,11 +406,24 @@ class TestArrayBuiltChannels:
 
     @pytest.mark.parametrize("dim,n_kraus", [(1, 1), (2, 3), (3, 16), (5, 4)])
     def test_random_channel(self, dim, n_kraus):
-        u4 = haar_unitary(dim * n_kraus, 77).reshape(dim, n_kraus, dim, n_kraus)
-        ops = [u4[:, ell, :, 0] for ell in range(n_kraus)]
+        v = haar_isometry(dim * n_kraus, dim, 77)
+        # A_l[i, j] = V[i * n_kraus + l, j]
+        ops = [v[ell::n_kraus] for ell in range(n_kraus)]
         c = random_channel(dim, n_kraus, 77)
         assert self.same_bytes(c, ops)
         assert c.stack.flags.c_contiguous
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 24])
+    def test_single_operator_random_channel_is_haar_unitary(self, dim):
+        for seed in (0, 77, 2**63 - 2):
+            assert self.same_bytes(random_channel(dim, 1, seed), [haar_unitary(dim, seed)])
+
+    def test_random_channel_is_checked_for_trace_preservation(self, monkeypatch):
+        calls = []
+        tp_sum = channels._tp_sum
+        monkeypatch.setattr(channels, "_tp_sum", lambda s: calls.append(s.shape) or tp_sum(s))
+        random_channel(3, 4, 5)
+        assert calls == [(4, 3, 3)]
 
     @pytest.mark.parametrize("name", ["dephasing", "depolarizing"])
     def test_matrix_power_calls_at_most_dim(self, monkeypatch, name):

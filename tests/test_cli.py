@@ -355,6 +355,28 @@ def test_out_of_domain_entries_exit_1(tmp_path, capsys, command, fields):
     assert not (tmp_path / "o").exists()
 
 
+# preset params must be JSON numbers, as matrix entries are
+BAD_PARAMS = {
+    "string": ["abc"],
+    "null": [None],
+    "huge-int": [10**400],
+    "numeric-string": ["0.5"],
+    "not-a-list": 0.5,
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("params", BAD_PARAMS.values(), ids=BAD_PARAMS)
+def test_bad_preset_params_exit_1(tmp_path, capsys, command, params):
+    doc = base_doc(channel={"preset": "amplitude_damping", "params": params})
+    path = write_scenario(tmp_path / "bad.json", doc)
+    flags = ["--param", "beta", "--values", "1"] if command == "sweep" else []
+    code = main([command, path, "--out", str(tmp_path / "o"), "--quiet"] + flags)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: channel.params")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("args,code", [
     ([os.path.join(SCENARIO_DIR, "identity.json")], 0),
     ([os.path.join(SCENARIO_DIR, "no_such_file.json")], 1),
