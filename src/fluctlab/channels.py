@@ -13,6 +13,7 @@ strictly in order, so the sums are bit for bit those of a loop over them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -30,6 +31,9 @@ from .linalg import as_complex_matrix
 
 TP_TOL = 1e-10
 UNITAL_TOL = 1e-10
+
+# most Kraus operators of a random preset: the longest minimal form at dim 64
+MAX_KRAUS = 64**2
 
 # Kraus operators per batched matmul: bounds the temporaries at
 # KRAUS_BLOCK * d^2 complex entries for channels with hundreds of operators.
@@ -129,8 +133,12 @@ def _channel(stack: np.ndarray, label: str) -> KrausChannel:
     if not np.isfinite(stack).all():
         raise NonFinite("Kraus operators contain non-finite entries")
     stack.flags.writeable = False
-    dev = float(np.max(np.abs(_tp_sum(stack) - np.eye(d))))
-    if dev > TP_TOL:
+    # the largest absolute row sum bounds the spectral norm of the Hermitian
+    # deviation, so a passing channel moves any state's trace by <= TP_TOL.
+    # Entries of a TP channel are at most 1, so only a failing one overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = float(np.abs(_tp_sum(stack) - np.eye(d)).sum(axis=1).max())
+    if not dev <= TP_TOL:
         raise NotTracePreserving(
             f"sum A^dag A deviates from identity by {dev:.3e} (tolerance {TP_TOL:.0e})"
         )
@@ -205,13 +213,6 @@ def unitary_mixture(dim: int, n_ops: int, seed: int) -> KrausChannel:
     return validate_channel(ops, label=f"unitary_mixture(seed={seed}, n_ops={n_ops})")
 
 
-def _check_probability(p: float, name: str) -> float:
-    p = float(p)
-    if not np.isfinite(p) or not 0.0 <= p <= 1.0:
-        raise ParamOutOfRange(f"{name} must lie in [0, 1], got {p!r}")
-    return p
-
-
 def _weyl_powers(dim: int):
     """Stacks of the shift powers X^a and the clock powers Z^b, a, b < dim.
 
@@ -225,12 +226,34 @@ def _weyl_powers(dim: int):
     return shifts, clocks
 
 
-def _need_params(params: Sequence[float], n: int, name: str) -> Sequence[float]:
-    if len(params) != n:
-        raise ParamOutOfRange(
-            f"preset '{name}' takes {n} parameter(s), got {len(params)}"
-        )
-    return params
+# each preset's parameters as (name, low, high, integer)
+_P, _SEED = ("p", 0, 1, False), ("seed", 0, math.inf, True)
+_PRESET_PARAMS = {
+    "identity": (), "unitary": (_SEED,), "dephasing": (_P,), "depolarizing": (_P,),
+    "amplitude_damping": (_P,), "thermal_attenuator": (_P, ("nbar", 0, math.inf, False)),
+    "random": (_SEED, ("n_kraus", 1, MAX_KRAUS, True)),
+}
+
+
+def _checked_params(name: str, params: Sequence[float]) -> list:
+    """A preset's parameters: real numbers, finite, in range and integral where
+    they are seeds or counts; floats, with seeds and counts as exact ints."""
+    if name not in _PRESET_PARAMS:
+        raise UnknownPreset(f"unknown channel preset '{name}'")
+    kinds = _PRESET_PARAMS[name]
+    if len(params) != len(kinds):
+        raise ParamOutOfRange(f"preset '{name}' takes {len(kinds)} parameter(s), "
+                              f"got {len(params)}")
+    for v, (label, low, high, integer) in zip(params, kinds):
+        try:  # NaN, strings, None and arrays fail here or compare False
+            ok = low <= v <= high and (v == int(v) if integer else math.isfinite(v))
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            kind = "an integer" if integer else "a number"
+            raise ParamOutOfRange(f"preset '{name}': {label} must be {kind} in [{low}, {high}], "
+                                  f"got {v!r}")
+    return [int(v) if integer else float(v) for v, (*_, integer) in zip(params, kinds)]
 
 
 def preset(name: str, params: Sequence[float] = (), dim: int = 2) -> KrausChannel:
@@ -246,25 +269,24 @@ def preset(name: str, params: Sequence[float] = (), dim: int = 2) -> KrausChanne
                                                nbar (nbar=0 is pure damping)
     random                   (seed, n_kraus)   blocks of a Haar isometry
 
-    Probabilities must lie in [0, 1]; nbar must be >= 0. Seeded presets are
-    bit-reproducible for a fixed seed on a given build.
+    Probabilities must lie in [0, 1] and nbar must be >= 0; seeds must be
+    integers >= 0 and n_kraus an integer in [1, MAX_KRAUS]. Seeded presets
+    are bit-reproducible for a fixed seed on a given build.
     """
+    params = _checked_params(name, params)
     if dim < 1:
         raise ParamOutOfRange(f"dimension must be >= 1, got {dim}")
     eye = np.eye(dim, dtype=complex)
 
     if name == "identity":
-        _need_params(params, 0, name)
         return _channel(eye[np.newaxis], label="identity")
 
     if name == "unitary":
-        _need_params(params, 1, name)
-        return _channel(haar_unitary(dim, int(params[0]))[np.newaxis],
-                        label=f"unitary(seed={int(params[0])})")
+        (seed,) = params
+        return _channel(haar_unitary(dim, seed)[np.newaxis], label=f"unitary(seed={seed})")
 
     if name == "dephasing":
-        (p,) = _need_params(params, 1, name)
-        p = _check_probability(p, "p")
+        (p,) = params
         if dim < 2:
             raise ParamOutOfRange("dephasing needs dim >= 2")
         _, ops = _weyl_powers(dim)
@@ -273,8 +295,7 @@ def preset(name: str, params: Sequence[float] = (), dim: int = 2) -> KrausChanne
         return _channel(ops, label=f"dephasing(p={p})")
 
     if name == "depolarizing":
-        (p,) = _need_params(params, 1, name)
-        p = _check_probability(p, "p")
+        (p,) = params
         x, z = _weyl_powers(dim)
         # operator a * dim + b is X^a Z^b
         ops = (x[:, np.newaxis] @ z).reshape(dim * dim, dim, dim)
@@ -283,8 +304,7 @@ def preset(name: str, params: Sequence[float] = (), dim: int = 2) -> KrausChanne
         return _channel(ops, label=f"depolarizing(p={p})")
 
     if name == "amplitude_damping":
-        (p,) = _need_params(params, 1, name)
-        p = _check_probability(p, "p")
+        (p,) = params
         ops = np.zeros((dim, dim, dim), dtype=complex)
         ops[0] = eye
         ops[0, 1:, 1:] *= np.sqrt(1.0 - p)
@@ -293,11 +313,7 @@ def preset(name: str, params: Sequence[float] = (), dim: int = 2) -> KrausChanne
         return _channel(ops, label=f"amplitude_damping(p={p})")
 
     if name == "thermal_attenuator":
-        p, nbar = _need_params(params, 2, name)
-        p = _check_probability(p, "p")
-        nbar = float(nbar)
-        if not np.isfinite(nbar) or nbar < 0.0:
-            raise ParamOutOfRange(f"nbar must be >= 0, got {nbar!r}")
+        p, nbar = params
         if dim != 2:
             raise DimensionMismatch("thermal_attenuator is a qubit preset (dim=2)")
         # excited-level occupation of the attached two-level environment
@@ -312,8 +328,5 @@ def preset(name: str, params: Sequence[float] = (), dim: int = 2) -> KrausChanne
         ]
         return validate_channel(ops, label=f"thermal_attenuator(p={p}, nbar={nbar})")
 
-    if name == "random":
-        seed, n_kraus = _need_params(params, 2, name)
-        return random_channel(dim, int(n_kraus), int(seed))
-
-    raise UnknownPreset(f"unknown channel preset '{name}'")
+    seed, n_kraus = params  # random
+    return random_channel(dim, n_kraus, seed)

@@ -26,8 +26,8 @@ from .scenario import (
     DEFAULT_RESIDUAL_TOL,
     Scenario,
     batch_from_dict,
+    number,
     parse_channel,
-    positive_tolerance,
     random_scenario,
     scenario_from_dict,
 )
@@ -44,6 +44,9 @@ from .thermo import (
 
 SWEEPABLE_PRESETS = ("dephasing", "depolarizing", "amplitude_damping", "thermal_attenuator")
 
+# the report fields of a batch.csv row, after seed, dim and unital and before max_residual
+BATCH_FIELDS = ("gamma", "x", "kl", "delta_u", "delta_s")
+
 
 class _Parser(argparse.ArgumentParser):
     # usage errors are input errors: exit 1, keeping 2 for residual violations
@@ -53,27 +56,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load_json(path: str):
+def _load_json(path: str, seed: int | None):
+    """The JSON document at path, with the --seed override, if given, as its seed."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
+    if seed is not None and isinstance(doc, dict):
+        doc["seed"] = seed
+    return doc
 
 
 def _threshold(args, scenario: Scenario | None = None) -> float:
     if args.tol is not None:
-        return positive_tolerance(args.tol, "--tol")
+        return number(args.tol, "--tol", positive=True)
     return scenario.identity_rtol if scenario is not None else DEFAULT_RESIDUAL_TOL
-
-
-def _load_scenario(args) -> Scenario:
-    doc = _load_json(args.scenario_file)
-    if args.seed is not None and isinstance(doc, dict):
-        doc["seed"] = int(args.seed)
-    return scenario_from_dict(doc)
 
 
 def _summary_text(scenario: Scenario, report: FluctuationReport,
@@ -99,7 +99,7 @@ def _summary_text(scenario: Scenario, report: FluctuationReport,
 
 
 def cmd_run(args) -> int:
-    scenario = _load_scenario(args)
+    scenario = scenario_from_dict(_load_json(args.scenario_file, args.seed))
     threshold = _threshold(args, scenario)
 
     artifacts = scenario_artifacts(scenario)
@@ -107,7 +107,7 @@ def cmd_run(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     header = {"name": scenario.name, "dim": scenario.dim,
-              "beta": float(scenario.beta), "seed": scenario.seed,
+              "beta": scenario.beta, "seed": scenario.seed,
               "unital": bool(artifacts.unitality.unital)}
     with open(os.path.join(args.out, "report.json"), "w", newline="") as fh:
         fh.write(report_to_json(report, header=header))
@@ -125,13 +125,8 @@ def cmd_run(args) -> int:
 def _sweep_scenarios(base: Scenario, param: str, values: list) -> list:
     if not values:
         raise UnknownParam("sweep needs a non-empty list of values")
-    out = []
     if param == "beta":
-        for v in values:
-            if not np.isfinite(v) or v <= 0:
-                raise UnknownParam(f"beta sweep values must be positive, got {v!r}")
-            out.append(base.with_beta(v))
-        return out
+        return [base.with_beta(number(v, "--values", positive=True)) for v in values]
     if param == "channel.p":
         spec = base.channel_spec
         if not spec or spec.get("preset") not in SWEEPABLE_PRESETS:
@@ -139,16 +134,14 @@ def _sweep_scenarios(base: Scenario, param: str, values: list) -> list:
                 "channel.p sweeps need a preset channel with a leading "
                 f"probability parameter (one of {', '.join(SWEEPABLE_PRESETS)})"
             )
-        for v in values:
-            new_spec = dict(spec, params=[float(v)] + list(spec.get("params", []))[1:])
-            channel = parse_channel(new_spec, base.dim, base.seed)
-            out.append(replace(base, channel=channel, channel_spec=new_spec))
-        return out
+        specs = [dict(spec, params=[v] + list(spec.get("params", []))[1:]) for v in values]
+        return [replace(base, channel=parse_channel(s, base.dim, base.seed), channel_spec=s)
+                for s in specs]
     raise UnknownParam(f"unknown sweep parameter {param!r} (use 'beta' or 'channel.p')")
 
 
 def cmd_sweep(args) -> int:
-    base = _load_scenario(args)
+    base = scenario_from_dict(_load_json(args.scenario_file, args.seed))
     threshold = _threshold(args, base)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
@@ -173,10 +166,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    doc = _load_json(args.spec_file)
-    spec = batch_from_dict(doc)
-    if args.seed is not None:
-        spec = replace(spec, seed=int(args.seed))
+    spec = batch_from_dict(_load_json(args.spec_file, args.seed))
     threshold = _threshold(args)
 
     rng = np.random.default_rng(spec.seed)
@@ -188,8 +178,7 @@ def cmd_batch(args) -> int:
     failures = 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["seed", "dim", "unital", "gamma", "x", "kl",
-                         "delta_u", "delta_s", "max_residual"])
+        writer.writerow(["seed", "dim", "unital", *BATCH_FIELDS, "max_residual"])
         for seed in seeds:
             scenario = random_scenario(
                 seed, dim_range=spec.dim_range, n_kraus_range=spec.n_kraus_range,
@@ -208,8 +197,7 @@ def cmd_batch(args) -> int:
             worst = max(worst, max_res)
             writer.writerow([
                 str(seed), str(scenario.dim), str(artifacts.unitality.unital).lower(),
-                fmt(report.gamma), fmt(report.x), fmt(report.kl),
-                fmt(report.delta_u), fmt(report.delta_s), fmt(max_res),
+                *(fmt(getattr(report, name)) for name in BATCH_FIELDS), fmt(max_res),
             ])
     aggregate = (f"scenarios: {spec.count}\n"
                  f"max_residual: {fmt(worst)}\n"

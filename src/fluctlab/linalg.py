@@ -75,8 +75,8 @@ def hermitian_eig(m) -> SpectralDecomposition:
     round-off; a deviation beyond HERMITICITY_TOL raises NotHermitian.
     """
     a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] != a.shape[1] or not a.size:
+        raise NotSquare(f"expected a non-empty square matrix, got shape {a.shape}")
     dev = hermiticity_deviation(a)
     if dev > HERMITICITY_TOL:
         raise NotHermitian(

@@ -10,12 +10,14 @@ complex entries appear as [re, im] pairs and Hamiltonians may use a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .channels import (
+    MAX_KRAUS,
     KrausChannel,
     haar_unitary,
     preset,
@@ -28,6 +30,10 @@ from .linalg import SpectralDecomposition
 from .states import Hamiltonian
 
 DEFAULT_RESIDUAL_TOL = 1e-8
+
+# batch campaigns: the documented domain (dim <= 64) and a bounded seed count
+MAX_DIM = 64
+MAX_COUNT = 10**6
 
 # presets whose first documented parameter is a seed that scenario files
 # may omit (the scenario's own seed is injected)
@@ -61,8 +67,36 @@ class BatchSpec:
     unital_only: bool = False
 
 
-# matrix entries: strings are refused even where float() would read them
+# document numbers: strings are refused even where float() would read them
 _NUMBER = (int, float)
+
+
+def number(value, context: str, integer: bool = False, low=None, high=None,
+           positive: bool = False):
+    """A number of a scenario or batch document, or ScenarioError naming context.
+
+    value must be a JSON number (bools count as 0 and 1), finite, integral
+    where integer is set, within [low, high] where given and > 0 where
+    positive is set. Integer fields come back as exact ints, others as floats.
+    """
+    try:
+        x = float(value) if isinstance(value, _NUMBER) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        x = math.nan
+    if not (math.isfinite(x) and (x.is_integer() or not integer) and (x > 0 or not positive)
+            and (low is None or x >= low) and (high is None or x <= high)):
+        kind = "an integer" if integer else "a finite number"
+        bound = (f" in [{low}, {high}]" if high is not None else f" >= {low}" if low is not None
+                 else " > 0" if positive else "")
+        raise ScenarioError(f"{context}: expected {kind}{bound}, got {value!r}")
+    return int(value) if integer else x
+
+
+def _numbers(values, context: str, **rule) -> list:
+    """Each entry of a list through number, as context[i]."""
+    if not isinstance(values, list):
+        raise ScenarioError(f"{context}: expected a list of numbers, got {values!r}")
+    return [number(v, f"{context}[{i}]", **rule) for i, v in enumerate(values)]
 
 
 def _parse_complex_entry(entry):
@@ -122,22 +156,6 @@ def _parse_matrix(obj, context: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _preset_params(raw) -> list:
-    """channel.params as floats; entries must be JSON numbers, as matrix entries are."""
-    if not isinstance(raw, list):
-        raise ScenarioError(f"channel.params: expected a list of numbers, got {raw!r}")
-    params = []
-    for i, v in enumerate(raw):
-        if not isinstance(v, _NUMBER):
-            raise ScenarioError(f"channel.params[{i}]: expected a number, got {v!r}")
-        try:
-            params.append(float(v))
-        except OverflowError as exc:  # an integer beyond the float range
-            raise ScenarioError(
-                f"channel.params[{i}]: entry out of floating-point range: {exc}") from exc
-    return params
-
-
 def parse_channel(obj, dim: int, seed: int) -> KrausChannel:
     """Channel from a preset spec or an explicit Kraus list.
 
@@ -148,96 +166,83 @@ def parse_channel(obj, dim: int, seed: int) -> KrausChannel:
     if not isinstance(obj, dict):
         raise ScenarioError("channel: expected an object with 'preset' or 'kraus'")
     if "kraus" in obj:
+        if not isinstance(obj["kraus"], list):
+            raise ScenarioError("channel.kraus: expected a list of matrices")
         mats = [parse_matrix(m, context=f"channel.kraus[{i}]")
                 for i, m in enumerate(obj["kraus"])]
         return validate_channel(mats, label="explicit")
     if "preset" in obj:
         name = obj["preset"]
-        params = _preset_params(obj.get("params", []))
+        if not isinstance(name, str):
+            raise ScenarioError(f"channel.preset: expected a preset name, got {name!r}")
+        params = _numbers(obj.get("params", []), "channel.params")
         want = _SEEDED_PRESETS.get(name)
         if want is not None and len(params) == want - 1:
-            params = [float(seed)] + params
+            params = [seed] + params
         return preset(name, params, dim)
     raise ScenarioError("channel: needs either a 'preset' or a 'kraus' key")
-
-
-def positive_tolerance(value, name: str) -> float:
-    """value as a float; ScenarioError naming it unless it is finite and > 0."""
-    try:
-        tol = float(value)
-    except (TypeError, ValueError):
-        tol = np.nan
-    if not np.isfinite(tol) or tol <= 0:
-        raise ScenarioError(f"{name} must be a finite number > 0, got {value!r}")
-    return tol
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be an object")
-    try:
-        name = str(doc.get("name", "scenario"))
-        dim = int(doc["dim"])
-        beta = float(doc["beta"])
-        seed = int(doc.get("seed", 0))
-    except KeyError as exc:
-        raise ScenarioError(f"scenario: missing required key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"scenario: bad scalar field: {exc}") from exc
-    if dim < 2:
-        raise ScenarioError(f"scenario: dim must be >= 2, got {dim}")
-
     tols = doc.get("tolerances", {})
     if not isinstance(tols, dict):
         raise ScenarioError("scenario: 'tolerances' must be an object")
-    identity_rtol = positive_tolerance(tols.get("identity_rtol", DEFAULT_RESIDUAL_TOL),
-                                       "scenario: tolerances.identity_rtol")
-    bin_tol_scale = positive_tolerance(tols.get("bin_tol_scale", 1.0),
-                                       "scenario: tolerances.bin_tol_scale")
 
+    def sized(label, obj):
+        if obj.dim != dim:
+            raise ScenarioError(f"scenario: {label} has dimension {obj.dim}, expected dim={dim}")
+        return obj
+
+    bad = "scenario: bad scalar field"
     try:
-        h_i = Hamiltonian.from_matrix(parse_matrix(doc["h_initial"], "h_initial"))
-        h_f = Hamiltonian.from_matrix(parse_matrix(doc["h_final"], "h_final"))
-        channel = parse_channel(doc["channel"], dim, seed)
+        name = str(doc.get("name", "scenario"))
+        dim = number(doc["dim"], f"{bad} dim", integer=True, low=2)
+        beta = number(doc["beta"], f"{bad} beta", positive=True)
+        seed = number(doc.get("seed", 0), f"{bad} seed", integer=True, low=0)
+        identity_rtol = number(tols.get("identity_rtol", DEFAULT_RESIDUAL_TOL),
+                               "scenario: tolerances.identity_rtol", positive=True)
+        bin_tol_scale = number(tols.get("bin_tol_scale", 1.0),
+                               "scenario: tolerances.bin_tol_scale", positive=True)
+        h_i, h_f = (sized(key, Hamiltonian.from_matrix(parse_matrix(doc[key], key)))
+                    for key in ("h_initial", "h_final"))
+        # after the Hamiltonians, whose size bounds the dim a preset is built at
+        channel = sized("channel", parse_channel(doc["channel"], dim, seed))
     except KeyError as exc:
         raise ScenarioError(f"scenario: missing required key {exc}") from exc
+    # parse_channel takes only an object, so doc["channel"] is the spec
+    return Scenario(name=name, dim=dim, beta=beta, h_initial=h_i, h_final=h_f,
+                    channel=channel, seed=seed, identity_rtol=identity_rtol,
+                    bin_tol_scale=bin_tol_scale, channel_spec=doc["channel"])
 
-    for label, obj in (("h_initial", h_i), ("h_final", h_f), ("channel", channel)):
-        if obj.dim != dim:
-            raise ScenarioError(
-                f"scenario: {label} has dimension {obj.dim}, expected dim={dim}"
-            )
-    return Scenario(
-        name=name, dim=dim, beta=beta, h_initial=h_i, h_final=h_f,
-        channel=channel, seed=seed, identity_rtol=identity_rtol,
-        bin_tol_scale=bin_tol_scale,
-        channel_spec=doc["channel"] if isinstance(doc["channel"], dict) else None,
-    )
+
+def _range(values, context: str, low: int, high: int) -> tuple:
+    """[lo, hi] as a pair of ints with low <= lo <= hi <= high."""
+    lo_hi = _numbers(values, context, integer=True, low=low, high=high)
+    if len(lo_hi) != 2 or lo_hi[0] > lo_hi[1]:
+        raise ScenarioError(f"{context}: expected [lo, hi] with lo <= hi, got {values!r}")
+    return tuple(lo_hi)
 
 
 def batch_from_dict(doc: dict) -> BatchSpec:
     if not isinstance(doc, dict):
         raise ScenarioError("batch document must be an object")
+    bad = "batch: bad field"
     try:
-        count = int(doc["count"])
-        dim_range = tuple(int(v) for v in doc["dim_range"])
-        n_kraus_range = tuple(int(v) for v in doc.get("n_kraus_range", [1, 4]))
-        beta_set = tuple(float(v) for v in doc["beta_set"])
-        seed = int(doc["seed"])
-        unital_only = bool(doc.get("unital_only", False))
+        count = number(doc["count"], f"{bad} count", integer=True, low=1, high=MAX_COUNT)
+        dim_range = _range(doc["dim_range"], f"{bad} dim_range", 2, MAX_DIM)
+        n_kraus_range = _range(doc.get("n_kraus_range", [1, 4]), f"{bad} n_kraus_range",
+                               1, MAX_KRAUS)
+        beta_set = tuple(_numbers(doc["beta_set"], f"{bad} beta_set", positive=True))
+        seed = number(doc["seed"], f"{bad} seed", integer=True, low=0)
     except KeyError as exc:
         raise ScenarioError(f"batch: missing required key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"batch: bad field: {exc}") from exc
-    if count < 1:
-        raise ScenarioError(f"batch: count must be >= 1, got {count}")
-    for label, rng in (("dim_range", dim_range), ("n_kraus_range", n_kraus_range)):
-        if len(rng) != 2 or rng[0] > rng[1] or rng[0] < 1:
-            raise ScenarioError(f"batch: {label} must be [lo, hi] with 1 <= lo <= hi")
-    if dim_range[0] < 2:
-        raise ScenarioError("batch: dimensions below 2 are not meaningful")
-    if not beta_set or any(b <= 0 for b in beta_set):
-        raise ScenarioError("batch: beta_set must be non-empty and positive")
+    if not beta_set:
+        raise ScenarioError(f"{bad} beta_set: expected one or more betas")
+    unital_only = doc.get("unital_only", False)
+    if not isinstance(unital_only, bool):
+        raise ScenarioError(f"{bad} unital_only: expected true or false, got {unital_only!r}")
     return BatchSpec(count=count, dim_range=dim_range, n_kraus_range=n_kraus_range,
                      beta_set=beta_set, seed=seed, unital_only=unital_only)
 

@@ -17,7 +17,7 @@ excess energy are what the report carries.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -39,19 +39,6 @@ from .states import (
     ThermalState,
     gibbs_state,
     state_entropies,
-)
-
-REPORT_FIELDS = (
-    "delta_u",
-    "delta_u_moment",
-    "delta_f",
-    "gamma",
-    "x",
-    "kl",
-    "excess_energy",
-    "delta_s",
-    "delta_s_v",
-    "s_r_final",
 )
 
 # In the order a report builds them; files and summaries list them sorted.
@@ -92,6 +79,10 @@ class FluctuationReport:
         out = {name: getattr(self, name) for name in REPORT_FIELDS}
         out["residuals"] = {name: self.residuals[name] for name in RESIDUAL_KEYS}
         return out
+
+
+# the scalar report fields, in declaration order
+REPORT_FIELDS = tuple(f.name for f in fields(FluctuationReport) if f.name != "residuals")
 
 
 def internal_energy_change(rho_out: np.ndarray, init: ThermalState,

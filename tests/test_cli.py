@@ -206,10 +206,28 @@ class TestBatch:
         assert max(float(line.split(",")[-1]) for line in lines[1:]) < 1e-8
         assert "result: PASS" in (out / "batch_summary.txt").read_text()
 
-    def test_huge_beta_in_spec(self, tmp_path, capsys):
-        path = write_scenario(tmp_path / "spec.json", {"count": 1, "dim_range": [2, 3],
-                                                       "beta_set": [10**400], "seed": 5})
-        assert main(["batch", path, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    # (spec fields, flags): numbers out of range or of the wrong kind, the
+    # --seed override included, and a non-bool unital_only
+    BAD_SPECS = {
+        "beta-huge-int": ({"beta_set": [10**400]}, []),
+        "beta-infinite": ({"beta_set": [1.0, float("inf")]}, []),
+        "beta-nan": ({"beta_set": [float("nan")]}, []),
+        "seed-negative": ({"seed": -4}, []),
+        "seed-flag-negative": ({}, ["--seed", "-3"]),
+        "seed-string": ({"seed": "12"}, []),
+        "count-fractional": ({"count": 2.7}, []),
+        "dim-range-fractional": ({"dim_range": [2.9, 3.2]}, []),
+        "dim-range-huge": ({"dim_range": [2, 1e300]}, []),
+        "n-kraus-range-huge": ({"n_kraus_range": [1, 1e300]}, []),
+        "count-huge": ({"count": 1e300}, []),
+        "unital-only-string": ({"unital_only": "false"}, []),
+    }
+
+    @pytest.mark.parametrize("fields,flags", BAD_SPECS.values(), ids=BAD_SPECS)
+    def test_huge_beta_in_spec(self, tmp_path, capsys, fields, flags):
+        doc = dict({"count": 1, "dim_range": [2, 3], "beta_set": [1.0], "seed": 5}, **fields)
+        path = write_scenario(tmp_path / "spec.json", doc)
+        assert main(["batch", path, "--out", str(tmp_path / "o"), "--quiet", *flags]) == 1
         assert capsys.readouterr().err.startswith("error: batch: bad field")
         assert not (tmp_path / "o").exists()
 
@@ -331,7 +349,8 @@ def test_non_finite_entries_exit_1(tmp_path, capsys, command, fields):
     assert not (tmp_path / "o").exists()
 
 
-# numbers outside the float range, and numbers written as strings
+# numbers outside the float range, numbers written as strings, and seeds,
+# dimensions and Kraus counts that are not finite integers in range
 OUT_OF_DOMAIN_DOCS = {
     "dense-huge-int": dict(h_final=[[10**400, 0], [0, 1]]),
     "pair-huge-int": dict(h_final=[[[10**400, 0], 0], [0, 1]]),
@@ -341,6 +360,21 @@ OUT_OF_DOMAIN_DOCS = {
     "bare-string": dict(h_final=[["1.5", 0], [0, 1]]),
     "kraus-pair-string": dict(channel={"kraus": [[[1, 0], [0, ["1", 0]]]]}),
     "beta-huge-int": dict(beta=10**400),
+    "beta-string": dict(beta="1.0"),
+    "seed-string": dict(seed="7"),
+    "dim-fractional": dict(dim=2.7),
+    "random-nan-seed": dict(channel={"preset": "random", "params": [NAN, 3]}),
+    "random-negative-seed": dict(channel={"preset": "random", "params": [-1, 3]}),
+    "random-infinite-n-kraus": dict(channel={"preset": "random", "params": [5, float("inf")]}),
+    "random-fractional-n-kraus": dict(channel={"preset": "random", "params": [5, 2.5]}),
+    "unitary-nan-seed": dict(channel={"preset": "unitary", "params": [NAN]}),
+    "huge-injected-seed": dict(seed=10**400, channel={"preset": "random", "params": [3]}),
+    "random-huge-n-kraus": dict(channel={"preset": "random", "params": [5, 1e300]}),
+    "dim-huge": dict(dim=1e300),
+    "diag-empty": dict(h_initial={"diag": []}),
+    "kraus-huge-entry": dict(channel={"kraus": [[[1e300, 0], [0, 1]]]}),
+    "kraus-not-a-list": dict(channel={"kraus": 1.5}),
+    "preset-not-a-name": dict(channel={"preset": ["random"]}),
 }
 
 
@@ -362,6 +396,8 @@ BAD_PARAMS = {
     "huge-int": [10**400],
     "numeric-string": ["0.5"],
     "not-a-list": 0.5,
+    "nan": [NAN],
+    "infinite": [float("inf")],
 }
 
 
@@ -381,6 +417,7 @@ def test_bad_preset_params_exit_1(tmp_path, capsys, command, params):
     ([os.path.join(SCENARIO_DIR, "identity.json")], 0),
     ([os.path.join(SCENARIO_DIR, "no_such_file.json")], 1),
     ([GOLDEN_FILE, "--tol", "1e-300"], 2),
+    ([os.path.join(SCENARIO_DIR, "random_qutrit.json"), "--seed", "-1"], 1),
 ])
 def test_module_entry_point_exit_codes(tmp_path, args, code):
     # python -m fluctlab runs __main__.py, which calls cli.entrypoint
@@ -392,3 +429,19 @@ def test_module_entry_point_exit_codes(tmp_path, args, code):
     )
     assert proc.returncode == code, proc.stderr
     assert ("error:" in proc.stderr) == (code == 1)
+
+
+@pytest.mark.parametrize("dim", [2, 64])
+def test_near_trace_preserving_channel_exits_1(tmp_path, capsys, dim):
+    # A = sqrt(I + c J) with J all ones: sum A^dag A - I = c J has entries
+    # c under TP_TOL, yet moves the trace of |+><+| by c * dim
+    c = 0.9e-10
+    a = np.eye(dim) + (np.sqrt(1.0 + c * dim) - 1.0) / dim * np.ones((dim, dim))
+    h = np.eye(dim) - np.ones((dim, dim)) / dim  # I - |+><+|
+    doc = base_doc(dim=dim, beta=30.0, h_initial=h.tolist(), h_final=h.tolist(),
+                   channel={"kraus": [a.tolist()]})
+    path = write_scenario(tmp_path / "near_tp.json", doc)
+    assert main(["run", path, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "deviates from identity" in err
+    assert not (tmp_path / "o").exists()
