@@ -160,22 +160,24 @@ def unitality_of_sum(kraus_sum: np.ndarray) -> UnitalityCheck:
 # Preset catalog
 # ---------------------------------------------------------------------------
 
-def haar_isometry(rows: int, cols: int, seed: int) -> np.ndarray:
-    """Haar-random isometry: reduced QR of a seeded (rows, cols) complex Gaussian.
-
-    The R diagonal is phase-fixed, which makes the distribution exactly
-    Haar (the first cols columns of a Haar unitary on rows dimensions) and
-    the draw reproducible for a given seed.
-    """
+def _haar_isometries(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Isometries of shape (..., rows, cols): one batched reduced QR of complex Gaussians
+    drawn from rng. Each R diagonal is phase-fixed, which makes every slice exactly Haar
+    (the first cols columns of a Haar unitary on rows dimensions)."""
+    rows, cols = shape[-2:]
     if not 0 <= cols <= rows:
         raise ParamOutOfRange(f"an isometry needs 0 <= cols <= rows, got ({rows}, {cols})")
-    rng = np.random.default_rng(int(seed))
-    z = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r).copy()
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))
+    return q * (diag / np.abs(diag))[..., np.newaxis, :]
+
+
+def haar_isometry(rows: int, cols: int, seed: int) -> np.ndarray:
+    """Seeded Haar-random (rows, cols) isometry, reproducible for a given seed."""
+    return _haar_isometries(np.random.default_rng(int(seed)), (rows, cols))
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
@@ -193,24 +195,32 @@ def random_channel(dim: int, n_kraus: int, seed: int) -> KrausChannel:
     Stinespring blocks <l|U|0> of a Haar unitary on dim * n_kraus
     dimensions; with n_kraus = 1 it is haar_unitary(dim, seed) itself.
     """
+    return _random_channel(np.random.default_rng(int(seed)), dim, n_kraus, f"seed={seed}")
+
+
+def _random_channel(rng: np.random.Generator, dim: int, n_kraus: int, tag: str) -> KrausChannel:
+    """random_channel drawn from rng, labelled random(<tag>, n_kraus=...)."""
     if n_kraus < 1:
         raise ParamOutOfRange(f"n_kraus must be >= 1, got {n_kraus}")
-    v = haar_isometry(dim * n_kraus, dim, seed)
+    v = _haar_isometries(rng, (dim * n_kraus, dim))
     # validate_channel copies the blocks into one C-ordered stack
     return validate_channel(v.reshape(dim, n_kraus, dim).transpose(1, 0, 2),
-                            label=f"random(seed={seed}, n_kraus={n_kraus})")
+                            label=f"random({tag}, n_kraus={n_kraus})")
 
 
 def unitary_mixture(dim: int, n_ops: int, seed: int) -> KrausChannel:
     """Random mixture of Haar unitaries: sqrt(w_k) U_k, always unital."""
+    return _unitary_mixture(np.random.default_rng(int(seed)), dim, n_ops, f"seed={seed}")
+
+
+def _unitary_mixture(rng: np.random.Generator, dim: int, n_ops: int, tag: str) -> KrausChannel:
+    """unitary_mixture drawn from rng, labelled unitary_mixture(<tag>, n_ops=...)."""
     if n_ops < 1:
         raise ParamOutOfRange(f"n_ops must be >= 1, got {n_ops}")
-    rng = np.random.default_rng(int(seed))
     weights = rng.random(n_ops) + 0.1
     weights /= weights.sum()
-    sub_seeds = rng.integers(0, 2**63 - 1, size=n_ops)
-    ops = [np.sqrt(w) * haar_unitary(dim, s) for w, s in zip(weights, sub_seeds)]
-    return validate_channel(ops, label=f"unitary_mixture(seed={seed}, n_ops={n_ops})")
+    stack = np.sqrt(weights)[:, np.newaxis, np.newaxis] * _haar_isometries(rng, (n_ops, dim, dim))
+    return _channel(stack, label=f"unitary_mixture({tag}, n_ops={n_ops})")
 
 
 def _weyl_powers(dim: int):

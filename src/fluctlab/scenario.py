@@ -19,10 +19,10 @@ import numpy as np
 from .channels import (
     MAX_KRAUS,
     KrausChannel,
-    haar_unitary,
+    _haar_isometries,
+    _random_channel,
+    _unitary_mixture,
     preset,
-    random_channel,
-    unitary_mixture,
     validate_channel,
 )
 from .errors import ScenarioError
@@ -254,34 +254,27 @@ def random_hamiltonian(dim: int, seed: int) -> Hamiltonian:
     beta (E - E_min) of the state; the identities hold at any beta > 0,
     since the distributions carry exact log masses.
     """
-    rng = np.random.default_rng(int(seed))
-    energies = np.sort(rng.random(dim))
-    vectors = haar_unitary(dim, int(rng.integers(0, 2**63 - 1)))
-    return Hamiltonian.from_spectrum(
-        SpectralDecomposition(eigenvalues=energies, eigenvectors=vectors)
-    )
+    return _random_hamiltonians(np.random.default_rng(int(seed)), dim, 1)[0]
+
+
+def _random_hamiltonians(rng: np.random.Generator, dim: int, count: int) -> list:
+    """count random_hamiltonian draws from rng: every spectrum, then one stack of eigenbases."""
+    energies = np.sort(rng.random((count, dim)), axis=1)
+    vectors = _haar_isometries(rng, (count, dim, dim))
+    return [Hamiltonian.from_spectrum(SpectralDecomposition(eigenvalues=e, eigenvectors=v))
+            for e, v in zip(energies, vectors)]
 
 
 def random_scenario(seed: int, dim_range=(2, 5), n_kraus_range=(1, 4),
                     beta_set=(0.2, 1.0, 5.0), unital_only: bool = False) -> Scenario:
-    """Deterministic random scenario; everything derives from the one seed."""
+    """Deterministic random scenario: dim, n_kraus, beta, both spectra, both eigenbases
+    (one stacked QR) and the channel (one QR) are drawn in turn from one generator."""
     rng = np.random.default_rng(int(seed))
     dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
     n_kraus = int(rng.integers(n_kraus_range[0], n_kraus_range[1] + 1))
     beta = float(beta_set[int(rng.integers(len(beta_set)))])
-    h_seed_i = int(rng.integers(0, 2**63 - 1))
-    h_seed_f = int(rng.integers(0, 2**63 - 1))
-    c_seed = int(rng.integers(0, 2**63 - 1))
-    if unital_only:
-        channel = unitary_mixture(dim, n_kraus, c_seed)
-    else:
-        channel = random_channel(dim, n_kraus, c_seed)
-    return Scenario(
-        name=f"random-{seed}",
-        dim=dim,
-        beta=beta,
-        h_initial=random_hamiltonian(dim, h_seed_i),
-        h_final=random_hamiltonian(dim, h_seed_f),
-        channel=channel,
-        seed=int(seed),
-    )
+    h_i, h_f = _random_hamiltonians(rng, dim, 2)
+    draw_channel = _unitary_mixture if unital_only else _random_channel
+    channel = draw_channel(rng, dim, n_kraus, f"scenario={seed}")
+    return Scenario(name=f"random-{seed}", dim=dim, beta=beta, h_initial=h_i, h_final=h_f,
+                    channel=channel, seed=int(seed))

@@ -120,7 +120,8 @@ def gibbs_state(h: Hamiltonian, beta: float) -> ThermalState:
     norm = float(weights.sum())
     pops = weights / norm
     log_pops = shifted - np.log(norm)
-    z = norm * float(np.exp(-beta * e[0]))
+    with np.errstate(over="ignore"):  # Z is inf beyond the float range; F is shifted
+        z = norm * float(np.exp(-beta * e[0]))
     f = float(e[0] - np.log(norm) / beta)
     v = h.spectrum.eigenvectors
     state = (v * pops) @ v.conj().T

@@ -25,6 +25,7 @@ import numpy as np
 from .channels import UnitalityCheck, unitality_of_sum
 from .distributions import (
     EnergyDistribution,
+    _log_total,
     crooks_residual,
     exp_average,
     gamma_of_sum,
@@ -33,6 +34,7 @@ from .distributions import (
     tpm_distributions,
 )
 from .errors import DimensionMismatch
+from .linalg import eigenbasis_diagonal
 from .scenario import Scenario
 from .states import (
     Hamiltonian,
@@ -141,7 +143,11 @@ def scenario_artifacts(scenario: Scenario) -> ScenarioArtifacts:
 
     kraus_sum = channel.kraus_sum()
     gamma = gamma_of_sum(kraus_sum, final_eq)
-    x = float(-np.log(gamma) / beta)
+    if gamma > 0.0:
+        x = float(-np.log(gamma) / beta)
+    else:  # underflow: log gamma is the log-sum-exp of log <n|sum A A^dag|n> + log p'_n
+        k_nn = eigenbasis_diagonal(final_eq.hamiltonian.spectrum.eigenvectors, kraus_sum)
+        x = -_log_total(np.log(k_nn[k_nn > 0.0]) + final_eq.log_populations[k_nn > 0.0]) / beta
     delta_f = final_eq.free_energy - init_eq.free_energy
     kl = kl_divergence(pf, pb)
 

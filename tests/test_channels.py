@@ -309,6 +309,18 @@ def loop_preset(name, p, dim):
     return ops
 
 
+class _Replay:
+    """Stands in for a Generator: standard_normal hands out the given arrays in turn."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def standard_normal(self, shape):
+        out = self.arrays.pop(0)
+        assert out.shape == shape
+        return out
+
+
 def full_qr_haar_unitary(dim, seed):
     """Reference Haar unitary: full QR of a square seeded Gaussian, phase-fixed."""
     rng = np.random.default_rng(int(seed))
@@ -349,6 +361,21 @@ class TestHaarDraws:
     def test_more_columns_than_rows_refused(self):
         with pytest.raises(ParamOutOfRange):
             haar_isometry(2, 3, 0)
+
+    # shapes of the batched draws: both Hamiltonian eigenbases of a scenario,
+    # unitary-mixture stacks, a channel isometry, a two-axis batch and dim 64
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 2, 2), (2, 5, 5), (6, 4, 4), (3, 30, 5),
+                                       (2, 3, 4, 4), (2, 64, 64)])
+    def test_batched_slices_equal_the_2d_path(self, shape):
+        # the loop version as reference: each slice through the 2-D path on
+        # the same Gaussian slice, which a replaying stand-in generator hands it
+        rng = np.random.default_rng(41)
+        re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+        batched = channels._haar_isometries(np.random.default_rng(41), shape)
+        assert batched.shape == shape
+        for k in np.ndindex(shape[:-2]):
+            ref = channels._haar_isometries(_Replay(re[k], im[k]), shape[-2:])
+            assert batched[k].tobytes() == ref.tobytes()
 
     # N draws of a (M, D) isometry at seeds 0..N-1; the sample size and both
     # bounds were fixed before the first run, at four standard deviations

@@ -1,11 +1,14 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from fluctlab import Hamiltonian, gibbs_state
 from fluctlab.cli import main
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -101,6 +104,52 @@ class TestRun:
         assert main(["run", GOLDEN_FILE, "--out", str(out_b), "--quiet"]) == 0
         for name in ("report.json", "pf.csv", "pb.csv", "summary.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+class TestHugeFiniteValues:
+    """Valid scenarios whose numbers overflow or underflow a double on the way."""
+
+    def run_quietly(self, doc, tmp_path):
+        path = write_scenario(tmp_path / "doc.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        return tmp_path / "o"
+
+    def test_partition_function_beyond_float_range(self, tmp_path):
+        # beta * E_min = -1000: Z = exp(1000) overflows, F and the populations do not
+        h = {"diag": [-1000.0, 0.0]}
+        self.run_quietly({"dim": 2, "beta": 1.0, "h_initial": h, "h_final": h,
+                          "channel": {"preset": "identity"}}, tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ts = gibbs_state(Hamiltonian.from_matrix(np.diag([-1000.0, 0.0])), 1.0)
+        assert ts.partition_function == np.inf
+        assert ts.free_energy == -1000.0
+
+    @staticmethod
+    def damping_into_upper_level(beta):
+        # full damping feeds only |0>, which h_final puts on top: sum A A^dag = diag(2, 0)
+        # and gamma = 2 p'_0 = 2/(1 + e^beta)
+        with open(GOLDEN_FILE) as fh:
+            return dict(json.load(fh), beta=beta, h_final={"diag": [1.0, 0.0]})
+
+    def test_gamma_underflow(self, tmp_path):
+        # gamma = 2/(1 + e^800) underflows to 0, while x = -log(gamma)/800 is
+        # 1 - log(2)/800 to double precision
+        out = self.run_quietly(self.damping_into_upper_level(800.0), tmp_path)
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["gamma"] == 0.0
+        assert abs(doc["x"] - (1.0 - np.log(2.0) / 800.0)) < 1e-15
+
+    def test_gamma_above_underflow_keeps_its_bytes(self, tmp_path):
+        # sha256 of the four output files at beta 700, where gamma is still
+        # positive, recorded before the log-space fallback for gamma = 0
+        out = self.run_quietly(self.damping_into_upper_level(700.0), tmp_path)
+        digests = [hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+                   for name in ("report.json", "pf.csv", "pb.csv", "summary.txt")]
+        assert digests == ["2ec9ae92896a3d1e", "752974fbca717ce9", "a30236185d044212",
+                           "55b35133ddb2dd18"]
 
 
 class TestSweep:

@@ -5,6 +5,7 @@ transition table, so no atom is lost to underflow on one side only and no
 residual degrades as beta grows.
 """
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -15,9 +16,12 @@ from hypothesis import strategies as st
 from fluctlab import (
     Hamiltonian,
     Scenario,
+    SpectralDecomposition,
     build_report,
     gibbs_state,
+    haar_unitary,
     preset,
+    random_channel,
     random_scenario,
     renormalize_backward,
     tpm_distributions,
@@ -36,8 +40,40 @@ def residuals_without_warnings(scenario):
     return report.residuals
 
 
+def former_random_qudit():
+    """The qudit that random_scenario(3, dim_range=(4, 4), n_kraus_range=(2, 2)) drew
+    while each Hamiltonian and the channel took a 63-bit sub-seed of the scenario seed.
+
+    That draw was one of the two SupportMismatch reproductions at beta 40, so
+    it is rebuilt here from haar_unitary and random_channel, whose draws did
+    not change when random_scenario came to draw from one generator.
+    """
+    rng = np.random.default_rng(3)
+    dim = int(rng.integers(4, 5))
+    n_kraus = int(rng.integers(2, 3))
+    rng.integers(3)  # the beta draw
+    h_seed_i, h_seed_f, c_seed = (int(rng.integers(0, 2**63 - 1)) for _ in range(3))
+
+    def hamiltonian(seed):
+        sub = np.random.default_rng(seed)
+        energies = np.sort(sub.random(dim))
+        vectors = haar_unitary(dim, int(sub.integers(0, 2**63 - 1)))
+        return Hamiltonian.from_spectrum(SpectralDecomposition(energies, vectors))
+
+    return Scenario(name="random-3", dim=dim, beta=40.0, h_initial=hamiltonian(h_seed_i),
+                    h_final=hamiltonian(h_seed_f), channel=random_channel(dim, n_kraus, c_seed),
+                    seed=3)
+
+
 def test_random_qudit_at_beta_40():
-    scenario = random_scenario(3, dim_range=(4, 4), n_kraus_range=(2, 2)).with_beta(40)
+    scenario = former_random_qudit()
+    # sha256 of the four matrices as drawn before, rounded to 10 decimals to
+    # absorb last-bit differences between BLAS builds
+    digest = hashlib.sha256()
+    for m in (scenario.h_initial.matrix, scenario.h_final.matrix, *scenario.channel.kraus_ops):
+        digest.update(np.round(m, 10).tobytes())
+    assert digest.hexdigest() == (
+        "d0e30216adb37240da5edb2956558d1ccebc30bfa35f1b34fd715b5c6020f2c6")
     residuals = residuals_without_warnings(scenario)
     assert max(residuals.values()) < TOL, residuals
 

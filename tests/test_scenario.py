@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from fluctlab import ScenarioError, scenario
+from fluctlab import ScenarioError, random_scenario, scenario
 from fluctlab.scenario import parse_matrix
+from conftest import mixed_scenario, unital_scenario
 
 NAN, INF = float("nan"), float("inf")
 RNG = np.random.default_rng(17)
@@ -82,3 +85,32 @@ def test_diag_takes_a_list_of_numbers(diag):
 def test_integers_beyond_float_range_are_refused(doc):
     with pytest.raises(ScenarioError, match="ctx: entry out of floating-point range"):
         parse_matrix(doc, "ctx")
+
+
+def test_seeds_keep_their_sizes_and_beta():
+    # sha256 of (dim, n_kraus, beta) over the conftest corpora, recorded while
+    # each Hamiltonian and the channel took a sub-seed of the scenario seed:
+    # since every draw comes from one generator, only the matrices moved
+    rows = [(s.dim, s.channel.n_kraus, s.beta)
+            for make in (mixed_scenario, unital_scenario) for s in map(make, range(100))]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "4ac6bb007cb2712bba5447447adc5caf0be6fe8942229413e8fdf4e85181eeed")
+
+
+def scenario_arrays(s):
+    return [s.h_initial.matrix, s.h_initial.energies, s.h_initial.spectrum.eigenvectors,
+            s.h_final.matrix, s.h_final.energies, s.h_final.spectrum.eigenvectors,
+            s.channel.stack]
+
+
+@pytest.mark.parametrize("unital", [False, True])
+@pytest.mark.parametrize("seed", [0, 5003, 2**63 - 2])
+def test_random_scenario_is_reproducible(seed, unital):
+    a, b = (random_scenario(seed, dim_range=(2, 6), n_kraus_range=(1, 6), unital_only=unital)
+            for _ in range(2))
+    assert (a.dim, a.beta, a.channel.label) == (b.dim, b.beta, b.channel.label)
+    assert [m.tobytes() for m in scenario_arrays(a)] == [m.tobytes() for m in scenario_arrays(b)]
+
+
+def test_unital_scenarios_keep_gamma_one(unital_artifacts):
+    assert max(abs(a.report.gamma - 1.0) for _, a in unital_artifacts) <= 1e-10
