@@ -9,6 +9,8 @@ channel action, sum A A^dag, sum A^dag A, the TPM transition table) is
 taken KRAUS_BLOCK operators at a time by batched matmuls, with the running
 total entering each block as its first term: the operators are added
 strictly in order, so the sums are bit for bit those of a loop over them.
+Products with a real diagonal state or a permutation eigenbasis are exact,
+so they are taken as a column scaling or an index, with the same bits.
 """
 
 from __future__ import annotations
@@ -87,12 +89,19 @@ class KrausChannel:
         return self.stack.shape[0]
 
     def apply(self, rho) -> np.ndarray:
-        """Channel action on a density matrix (linear, trace preserving)."""
+        """Channel action on a density matrix (linear, trace preserving).
+
+        A real diagonal rho scales the columns of each A_l, which is exactly
+        A_l rho; a complex diagonal would differ in the last bit, so it does not.
+        """
         a = as_complex_matrix(rho)
         if a.shape != (self.dim, self.dim):
             raise DimensionMismatch(
                 f"state shape {a.shape} does not match channel dimension {self.dim}"
             )
+        diag = np.diagonal(a)
+        if np.count_nonzero(a) == np.count_nonzero(diag) and not diag.imag.any():
+            return _kraus_block_sum(self.stack, lambda k: (k * diag.real) @ _dag(k))
         return _kraus_block_sum(self.stack, lambda k: k @ a @ _dag(k))
 
     def kraus_sum(self) -> np.ndarray:

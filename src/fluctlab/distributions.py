@@ -102,6 +102,8 @@ def tpm_distributions(c: KrausChannel, init_eq: ThermalState, final_eq: ThermalS
     atoms line up index-to-index and carry mass on exactly the same atoms.
     The backward atoms are stored on the forward DeltaU axis (at
     E'_n - E_m, not its negative); their total mass is gamma.
+    When both eigenbases are permutations (Hamiltonians in their energy basis),
+    the table is sum_l |A_l|^2 with rows and columns picked in energy order.
     """
     if c.dim != init_eq.dim or c.dim != final_eq.dim:
         raise DimensionMismatch(
@@ -109,9 +111,13 @@ def tpm_distributions(c: KrausChannel, init_eq: ThermalState, final_eq: ThermalS
             f"final state dim {final_eq.dim} must agree"
         )
     h_i, h_f = init_eq.hamiltonian, final_eq.hamiltonian
-    vf_dag = h_f.spectrum.eigenvectors.conj().T
-    vi = h_i.spectrum.eigenvectors
-    probs = _kraus_block_sum(c.stack, lambda k: np.abs(vf_dag @ k @ vi) ** 2)
+    rows, cols = h_f.spectrum.permutation, h_i.spectrum.permutation
+    if rows is not None and cols is not None:
+        probs = _kraus_block_sum(c.stack, lambda k: np.abs(k) ** 2)[np.ix_(rows, cols)]
+    else:
+        vf_dag = h_f.spectrum.eigenvectors.conj().T
+        vi = h_i.spectrum.eigenvectors
+        probs = _kraus_block_sum(c.stack, lambda k: np.abs(vf_dag @ k @ vi) ** 2)
     with np.errstate(divide="ignore"):
         log_probs = np.log(probs)
     log_weights = np.stack([

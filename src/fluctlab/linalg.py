@@ -8,13 +8,14 @@ arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NonFinite, NotHermitian, NotSquare
 
-# Kernel accuracy target; downstream identities are checked at 1e-8, so
-# 1e-10 here leaves two orders of headroom.
+# Kernel accuracy target, relative to the largest entry (or 1, if larger);
+# downstream identities are checked at 1e-8, so 1e-10 leaves two orders of headroom.
 HERMITICITY_TOL = 1e-10
 
 
@@ -58,6 +59,17 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return int(self.eigenvalues.shape[0])
 
+    @cached_property
+    def permutation(self) -> np.ndarray | None:
+        """Row of each eigenvector's single 1 if the eigenvectors are exactly a
+        permutation matrix, as eigh gives for any real diagonal; else None."""
+        v = self.eigenvectors
+        if np.count_nonzero(v) != self.dim:  # every dense basis exits here
+            return None
+        rows, cols = np.nonzero(v == 1)  # row-major, so rows ascend
+        one_each = np.array_equal(rows, np.arange(self.dim)) and np.array_equal(np.sort(cols), rows)
+        return np.argsort(cols) if one_each else None
+
     def reconstruct(self) -> np.ndarray:
         """V diag(lambda) V^dag."""
         v = self.eigenvectors
@@ -72,15 +84,16 @@ def hermitian_eig(m) -> SpectralDecomposition:
     """Decompose a Hermitian matrix, eigenvalues sorted ascending.
 
     The input is symmetrized ((m + m^dag)/2) before the solve to suppress
-    round-off; a deviation beyond HERMITICITY_TOL raises NotHermitian.
+    round-off; a deviation beyond HERMITICITY_TOL * max(1, max |m|) raises
+    NotHermitian, so large entries are judged relative to their size.
     """
     a = as_complex_matrix(m)
     if a.shape[0] != a.shape[1] or not a.size:
         raise NotSquare(f"expected a non-empty square matrix, got shape {a.shape}")
     dev = hermiticity_deviation(a)
-    if dev > HERMITICITY_TOL:
-        raise NotHermitian(
-            f"max |m - m^dag| = {dev:.3e} exceeds tolerance {HERMITICITY_TOL:.0e}"
-        )
+    scale = max(1.0, float(np.max(np.abs(a))))
+    if dev > HERMITICITY_TOL * scale:
+        raise NotHermitian(f"max |m - m^dag| = {dev:.3e} exceeds tolerance {HERMITICITY_TOL:.0e}"
+                           f" * max(1, max |m|) = {HERMITICITY_TOL * scale:.3e}")
     w, v = np.linalg.eigh((a + a.conj().T) / 2)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)

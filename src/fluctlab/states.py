@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidBeta, NotHermitian, SupportViolation
 from .linalg import (
-    HERMITICITY_TOL,
     SpectralDecomposition,
     as_complex_matrix,
     eigenbasis_diagonal,

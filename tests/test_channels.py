@@ -115,6 +115,7 @@ class TestStackedSums:
 
     Kraus counts 1, 63, 64, 65 and 576 put the last operator before, on
     and after a KRAUS_BLOCK (64) boundary, and run through nine blocks.
+    Each runs in Haar eigenbases and in energy bases (diagonal Hamiltonians).
     """
 
     CHANNELS = {
@@ -136,9 +137,35 @@ class TestStackedSums:
     def test_sums_match_operator_loop(self, n_kraus):
         c = self.CHANNELS[n_kraus]()
         assert c.n_kraus == n_kraus
+        self.check_against_loops(c, random_hamiltonian(c.dim, 7), random_hamiltonian(c.dim, 8))
+
+    @pytest.mark.parametrize("n_kraus", sorted(CHANNELS))
+    def test_energy_basis_matches_operator_loop(self, n_kraus):
+        # diagonal Hamiltonians in shuffled order: the table is read by index
+        # and the diagonal Gibbs state scales columns, with the loops' bits
+        c = self.CHANNELS[n_kraus]()
+        rng = np.random.default_rng(n_kraus)
+        h_i, h_f = (Hamiltonian.from_matrix(np.diag(rng.random(c.dim))) for _ in range(2))
+        assert h_i.spectrum.permutation is not None and h_f.spectrum.permutation is not None
+        rho = gibbs_state(h_i, 1.0).state
+        assert np.count_nonzero(rho) == c.dim and not rho.imag.any()
+        self.check_against_loops(c, h_i, h_f)
+
+    def test_complex_diagonal_state_keeps_the_product(self):
+        # k * d differs from k @ diag(d) in the last bit for complex d, so
+        # only a real diagonal may scale columns
+        c = random_channel(5, 3, 1)
+        p = np.arange(1.0, 6.0) / 15.0
+        rho = np.diag(p * np.exp(-3j * np.linspace(0.0, 1.0, 5)))
         ops = c.kraus_ops
-        init = gibbs_state(random_hamiltonian(c.dim, 7), 1.0)
-        final = gibbs_state(random_hamiltonian(c.dim, 8), 1.0)
+        assert np.array_equal(c.apply(rho), self.loop_sum(ops, lambda a: a @ rho @ a.conj().T))
+        scaled = self.loop_sum(ops, lambda a: (a * np.diagonal(rho)) @ a.conj().T)
+        assert not np.array_equal(c.apply(rho), scaled)
+
+    def check_against_loops(self, c, h_initial, h_final):
+        ops = c.kraus_ops
+        init = gibbs_state(h_initial, 1.0)
+        final = gibbs_state(h_final, 1.0)
         rho = init.state
 
         assert np.array_equal(c.apply(rho), self.loop_sum(ops, lambda a: a @ rho @ a.conj().T))

@@ -1,0 +1,110 @@
+"""Cross-checks that need no binning and no particular Kraus set.
+
+The paper's expressions depend only on the state and the dynamical map.
+Two routes test that without the ten report residuals, which all read the
+same binned atoms:
+
+- the characteristic function G_F(u) = tr[e^{iuH_f} Phi(e^{-iuH_i} rho_eq)]
+  (Talkner, Lutz & Hanggi, PRE 75, 050102, 2007) uses the channel action and
+  never the transition table, and must equal sum P_F e^{iu DeltaU} over the
+  atoms, which tests every moment of the binned positions;
+- a unitary remix A'_k = sum_l U_kl A_l of the Kraus operators, with zero
+  operators padded in, is the same channel and must leave the report as it is.
+
+Each runs on Haar eigenbases and on energy bases (diagonal Hamiltonians),
+whose table is read by index and whose Gibbs state scales columns.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fluctlab import (
+    Hamiltonian,
+    Scenario,
+    gibbs_state,
+    haar_unitary,
+    preset,
+    random_scenario,
+    scenario_artifacts,
+    validate_channel,
+)
+from fluctlab.thermo import REPORT_FIELDS
+
+U_GRID = (0.3, 1.0, 3.0, 10.0)
+
+
+def in_energy_basis(scenario: Scenario, seed: int) -> Scenario:
+    """The scenario with both Hamiltonians diagonal, their spectra shuffled."""
+    rng = np.random.default_rng(seed)
+    h_i, h_f = (Hamiltonian.from_matrix(np.diag(rng.permutation(h.energies)))
+                for h in (scenario.h_initial, scenario.h_final))
+    return Scenario(name=scenario.name + "-energy", dim=scenario.dim, beta=scenario.beta,
+                    h_initial=h_i, h_final=h_f, channel=scenario.channel)
+
+
+def ladder_scenario(beta: float) -> Scenario:
+    h = Hamiltonian.from_matrix(np.diag(np.linspace(0.0, 1.0, 24)))
+    return Scenario(name=f"ladder-{beta}", dim=24, beta=beta, h_initial=h, h_final=h,
+                    channel=preset("depolarizing", [0.3], 24))
+
+
+def evolution(h: Hamiltonian, t: float) -> np.ndarray:
+    """e^{itH} from the cached spectrum."""
+    v = h.spectrum.eigenvectors
+    return (v * np.exp(1j * t * h.energies)) @ v.conj().T
+
+
+def scenarios() -> list:
+    haar = [random_scenario(seed, dim_range=(2, 8), n_kraus_range=(1, 70),
+                            unital_only=seed % 3 == 0) for seed in range(12)]
+    energy = [in_energy_basis(s, seed) for seed, s in enumerate(haar)]
+    return haar + energy + [ladder_scenario(0.2), ladder_scenario(5.0)]
+
+
+@pytest.mark.parametrize("scenario", scenarios(), ids=lambda s: s.name)
+def test_characteristic_function_matches_the_atoms(scenario):
+    rho_eq = gibbs_state(scenario.h_initial, scenario.beta).state
+    pf = scenario_artifacts(scenario).forward
+    diagonal = scenario.h_initial.spectrum.permutation is not None
+    for u in U_GRID:
+        start = evolution(scenario.h_initial, -u) @ rho_eq
+        if diagonal:  # a complex diagonal: apply keeps the matrix product
+            assert np.count_nonzero(start) == np.count_nonzero(np.diagonal(start))
+        trace = np.trace(evolution(scenario.h_final, u) @ scenario.channel.apply(start))
+        atoms = np.sum(pf.mass * np.exp(1j * u * pf.delta_u))
+        assert abs(trace - atoms) <= 1e-12, (u, trace, atoms)
+
+
+def remixed(scenario: Scenario, n_zero: int, seed: int) -> Scenario:
+    """The same channel as the Kraus set A'_k = sum_l U_kl A_l over the operators
+    and n_zero zero operators, for a Haar unitary U."""
+    stack = scenario.channel.stack
+    padded = np.concatenate([stack, np.zeros((n_zero, *stack.shape[1:]), dtype=complex)])
+    mix = haar_unitary(len(padded), seed)
+    channel = validate_channel(np.einsum("kl,lij->kij", mix, padded))
+    return Scenario(name=scenario.name, dim=scenario.dim, beta=scenario.beta,
+                    h_initial=scenario.h_initial, h_final=scenario.h_final, channel=channel)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_kraus=st.integers(1, 6),
+    n_zero=st.integers(0, 3),
+    energy_basis=st.booleans(),
+    unital=st.booleans(),
+)
+def test_kraus_freedom_leaves_the_report_unchanged(seed, n_kraus, n_zero, energy_basis,
+                                                   unital):
+    scenario = random_scenario(seed, dim_range=(2, 6), n_kraus_range=(n_kraus, n_kraus),
+                               unital_only=unital)
+    if energy_basis:
+        scenario = in_energy_basis(scenario, seed)
+    before = scenario_artifacts(scenario).report
+    after = scenario_artifacts(remixed(scenario, n_zero, seed)).report
+    for name in REPORT_FIELDS:
+        assert abs(getattr(after, name) - getattr(before, name)) <= 1e-12, name
+    for name, value in before.residuals.items():
+        assert abs(after.residuals[name] - value) <= 1e-12, name

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fluctlab import NonFinite, NotHermitian, NotSquare, hermitian_eig
-from fluctlab.linalg import as_complex_matrix, eigenbasis_diagonal
+from fluctlab import NonFinite, NotHermitian, NotSquare, hermitian_eig, random_hamiltonian
+from fluctlab.linalg import SpectralDecomposition, as_complex_matrix, eigenbasis_diagonal
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -33,6 +33,19 @@ class TestHermitianEig:
         with pytest.raises(NotHermitian):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_large_entries_are_checked_relative_to_their_size(self):
+        # deviation 1.1e-10 in absolute terms, Hermitian to rounding
+        m = random_hamiltonian(5, 41).matrix * 1e6
+        assert hermitian_eig(m).dim == 5
+        for d in (2, 5, 16, 32, 64):
+            for seed in range(20):
+                hermitian_eig(random_hamiltonian(d, seed).matrix * 1e7)
+
+    def test_relative_asymmetry_beyond_tolerance_is_refused(self):
+        m = np.array([[1.0, 1.0], [1.0 + 1e-8, 0.0]]) * 1e6
+        with pytest.raises(NotHermitian, match=r"1\.000e-02 exceeds .* = 1\.000e-04"):
+            hermitian_eig(m)
+
     def test_not_square(self):
         with pytest.raises(NotSquare):
             hermitian_eig(np.zeros((2, 3)))
@@ -46,6 +59,40 @@ class TestHermitianEig:
             scale = max(np.linalg.norm(m), 1.0)
             assert np.linalg.norm(dec.reconstruct() - m) / scale < 1e-10
             assert dec.unitarity_deviation() < 1e-10
+
+
+class TestPermutation:
+    """The row of each eigenvector's single 1, for an exact permutation basis."""
+
+    @pytest.mark.parametrize("diag", [
+        [0.0, 0.25, 0.5, 1.0],               # ascending
+        [1.0, 0.5, 0.25, 0.0],               # reversed
+        [0.5, 1.0, 0.0, 0.25, 0.75],         # shuffled
+        [0.0, 1.0, 1.0, 2.0, 0.0, 1.0],      # degenerate
+        [3.0],
+    ])
+    def test_set_for_a_diagonal_hamiltonian(self, diag):
+        dec = hermitian_eig(np.diag(diag))
+        perm = dec.permutation
+        assert perm is not None and sorted(perm) == list(range(len(diag)))
+        # eigenvector k is the standard basis vector perm[k]
+        assert np.array_equal(dec.eigenvectors, np.eye(len(diag))[:, perm])
+        assert np.array_equal(np.asarray(diag)[perm], dec.eigenvalues)
+
+    def test_none_for_a_haar_basis(self):
+        assert random_hamiltonian(6, 2).spectrum.permutation is None
+        assert hermitian_eig(PAULI_X).permutation is None
+
+    @pytest.mark.parametrize("entry", [-1.0, 1.0 - 2.0**-52, 1j])
+    def test_none_unless_every_entry_is_exactly_0_or_1(self, entry):
+        v = np.eye(3, dtype=complex)[:, [2, 0, 1]]
+        v[0, 1] = entry
+        assert SpectralDecomposition(np.arange(3.0), v).permutation is None
+
+    def test_none_for_a_repeated_row(self):
+        v = np.zeros((3, 3), dtype=complex)
+        v[[0, 0, 1], [0, 1, 2]] = 1.0
+        assert SpectralDecomposition(np.arange(3.0), v).permutation is None
 
 
 class TestEigenbasisDiagonal:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -167,6 +168,24 @@ class TestBuildReport:
         report = build_report(scenario)
         assert calls == [(6, 6)]
         assert report.max_residual() < 1e-8
+
+    @pytest.mark.parametrize("beta,digests", [
+        (0.2, ["40c37e990252f99e", "322651708f37ae41", "546a4b23f65404b4", "061dc9c749c69349"]),
+        (1.0, ["809b4434c4b08a54", "e625be3efa74faec", "de82ee274bd723bf", "90b353afa3313886"]),
+        (5.0, ["ddc5fd0c6987f807", "29eb81d7be25654b", "b67a65cc869d7dee", "59c43329c22e22a7"]),
+    ])
+    def test_ladder_artifacts_keep_their_bytes(self, beta, digests):
+        # sha256 prefixes of the report JSON and of each distribution's
+        # positions and log masses on the d = 24 depolarizing ladder (576
+        # operators), recorded while the energy-basis Hamiltonians still went
+        # through the basis products; indexing and column scaling keep every bit
+        h = Hamiltonian.from_matrix(np.diag(np.linspace(0.0, 1.0, 24)))
+        art = scenario_artifacts(Scenario(name="ladder", dim=24, beta=beta, h_initial=h,
+                                          h_final=h, channel=preset("depolarizing", [0.3], 24)))
+        got = [hashlib.sha256(report_to_json(art.report).encode()).hexdigest()[:16]]
+        for p in (art.forward, art.backward_raw, art.backward):
+            got.append(hashlib.sha256(p.delta_u.tobytes() + p.log_mass.tobytes()).hexdigest()[:16])
+        assert got == digests
 
     def test_artifacts_distributions_consistent(self):
         art = scenario_artifacts(golden_scenario())
