@@ -92,7 +92,7 @@ class KrausChannel:
         """Channel action on a density matrix (linear, trace preserving).
 
         A real diagonal rho scales the columns of each A_l, which is exactly
-        A_l rho; a complex diagonal would differ in the last bit, so it does not.
+        A_l rho; a complex diagonal can differ in the last bit, so it does not.
         """
         a = as_complex_matrix(rho)
         if a.shape != (self.dim, self.dim):
