@@ -1,9 +1,9 @@
 """Command-line front end: run single scenarios, parameter sweeps and
 randomized batch campaigns.
 
-Exit codes: 0 when every identity residual stays below the threshold,
-2 when a residual (or a unital-batch gamma check) violates it, 1 on any
-input or validation error. Outputs are byte-deterministic for a given
+Every command runs its scenarios through thermo.evaluate, which holds the
+pass rule. Exit codes: 0 when every scenario passes, 2 when one fails, 1
+on any input or validation error. Outputs are byte-deterministic for a given
 scenario file and seed: floats are printed at 17 significant digits and
 row order is fixed.
 """
@@ -17,9 +17,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from .channels import UnitalityCheck
 from .distributions import write_distribution_csv
 from .errors import FluctLabError, ScenarioError, UnknownParam
 from .scenario import (
@@ -28,18 +25,18 @@ from .scenario import (
     batch_from_dict,
     number,
     parse_channel,
-    random_scenario,
     scenario_from_dict,
 )
 from .thermo import (
     REPORT_FIELDS,
     RESIDUAL_KEYS,
-    FluctuationReport,
+    ScenarioArtifacts,
+    evaluate,
     fmt,
     report_csv_header,
     report_csv_row,
     report_to_json,
-    scenario_artifacts,
+    residual_verdicts,
 )
 
 SWEEPABLE_PRESETS = ("dephasing", "depolarizing", "amplitude_damping", "thermal_attenuator")
@@ -76,50 +73,46 @@ def _threshold(args, scenario: Scenario | None = None) -> float:
     return scenario.identity_rtol if scenario is not None else DEFAULT_RESIDUAL_TOL
 
 
-def _summary_text(scenario: Scenario, report: FluctuationReport,
-                  threshold: float, check: UnitalityCheck) -> str:
+def _summary_text(scenario: Scenario, artifacts: ScenarioArtifacts,
+                  threshold: float, passed: bool) -> str:
+    report, check = artifacts.report, artifacts.unitality
     lines = [
         f"scenario: {scenario.name}",
         f"dim: {scenario.dim}",
         f"beta: {fmt(scenario.beta)}",
-        f"channel: {scenario.channel.label or 'explicit'} "
-        f"({scenario.channel.n_kraus} Kraus ops)",
+        f"channel: {scenario.channel.label or 'explicit'} ({scenario.channel.n_kraus} Kraus ops)",
         f"unital: {str(check.unital).lower()} (deviation {fmt(check.deviation)})",
         "",
     ]
     lines += [f"{name:24s} = {fmt(getattr(report, name))}" for name in REPORT_FIELDS]
     lines += ["", f"residuals (threshold {fmt(threshold)}):"]
+    verdicts = residual_verdicts(report, threshold)
     for name in sorted(RESIDUAL_KEYS):
-        value = report.residuals[name]
-        verdict = "PASS" if value < threshold else "FAIL"
-        lines.append(f"  {name:24s} {fmt(value):26s} {verdict}")
-    overall = "PASS" if report.max_residual() < threshold else "FAIL"
-    lines.append(f"overall: {overall}")
+        verdict = "PASS" if verdicts[name] else "FAIL"
+        lines.append(f"  {name:24s} {fmt(report.residuals[name]):26s} {verdict}")
+    lines.append(f"overall: {'PASS' if passed else 'FAIL'}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_run(args) -> int:
     scenario = scenario_from_dict(_load_json(args.scenario_file, args.seed))
     threshold = _threshold(args, scenario)
-
-    artifacts = scenario_artifacts(scenario)
-    report = artifacts.report
+    _, artifacts, passed = next(evaluate([scenario], threshold))
 
     os.makedirs(args.out, exist_ok=True)
-    header = {"name": scenario.name, "dim": scenario.dim,
-              "beta": scenario.beta, "seed": scenario.seed,
-              "unital": bool(artifacts.unitality.unital)}
+    header = {"name": scenario.name, "dim": scenario.dim, "beta": scenario.beta,
+              "seed": scenario.seed, "unital": bool(artifacts.unitality.unital)}
     with open(os.path.join(args.out, "report.json"), "w", newline="") as fh:
-        fh.write(report_to_json(report, header=header))
+        fh.write(report_to_json(artifacts.report, header=header))
     write_distribution_csv(artifacts.forward, os.path.join(args.out, "pf.csv"))
     write_distribution_csv(artifacts.backward, os.path.join(args.out, "pb.csv"))
-    summary = _summary_text(scenario, report, threshold, artifacts.unitality)
+    summary = _summary_text(scenario, artifacts, threshold, passed)
     with open(os.path.join(args.out, "summary.txt"), "w", newline="") as fh:
         fh.write(summary)
 
     if not args.quiet:
         sys.stdout.write(summary)
-    return 0 if report.max_residual() < threshold else 2
+    return 0 if passed else 2
 
 
 def _sweep_scenarios(base: Scenario, param: str, values: list) -> list:
@@ -150,64 +143,49 @@ def cmd_sweep(args) -> int:
     scenarios = _sweep_scenarios(base, args.param, values)
 
     os.makedirs(args.out, exist_ok=True)
-    worst = 0.0
+    worst, all_passed = 0.0, True
     path = os.path.join(args.out, "sweep.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(report_csv_header(extra=("param", "value")))
-        for value, scenario in zip(values, scenarios):
-            report = scenario_artifacts(scenario).report
-            worst = max(worst, report.max_residual())
-            writer.writerow(report_csv_row(report, extra=(args.param, fmt(value))))
+        for value, (_, artifacts, passed) in zip(values, evaluate(scenarios, threshold)):
+            worst = max(worst, artifacts.report.max_residual())
+            all_passed = all_passed and passed
+            writer.writerow(report_csv_row(artifacts.report, extra=(args.param, fmt(value))))
     if not args.quiet:
         print(f"sweep: {len(values)} runs of '{args.param}' -> {path}")
         print(f"max residual: {fmt(worst)}")
-    return 0 if worst < threshold else 2
+    return 0 if all_passed else 2
 
 
 def cmd_batch(args) -> int:
     spec = batch_from_dict(_load_json(args.spec_file, args.seed))
     threshold = _threshold(args)
 
-    rng = np.random.default_rng(spec.seed)
-    seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=spec.count)]
-
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "batch.csv")
-    worst = 0.0
-    failures = 0
+    worst, all_passed = 0.0, True
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["seed", "dim", "unital", *BATCH_FIELDS, "max_residual"])
-        for seed in seeds:
-            scenario = random_scenario(
-                seed, dim_range=spec.dim_range, n_kraus_range=spec.n_kraus_range,
-                beta_set=spec.beta_set, unital_only=spec.unital_only,
-            )
-            try:
-                artifacts = scenario_artifacts(scenario)
-            except FluctLabError as exc:
-                raise ScenarioError(f"scenario seed={seed} failed: {exc}") from exc
+        for scenario, artifacts, passed in evaluate(spec.scenarios(), threshold, spec.unital_only):
             report = artifacts.report
             max_res = report.max_residual()
-            if spec.unital_only and abs(report.gamma - 1.0) > 1e-10:
-                failures += 1
-            if max_res >= threshold:
-                failures += 1
             worst = max(worst, max_res)
+            all_passed = all_passed and passed
             writer.writerow([
-                str(seed), str(scenario.dim), str(artifacts.unitality.unital).lower(),
+                str(scenario.seed), str(scenario.dim), str(artifacts.unitality.unital).lower(),
                 *(fmt(getattr(report, name)) for name in BATCH_FIELDS), fmt(max_res),
             ])
     aggregate = (f"scenarios: {spec.count}\n"
                  f"max_residual: {fmt(worst)}\n"
                  f"threshold: {fmt(threshold)}\n"
-                 f"result: {'PASS' if failures == 0 else 'FAIL'}\n")
+                 f"result: {'PASS' if all_passed else 'FAIL'}\n")
     with open(os.path.join(args.out, "batch_summary.txt"), "w", newline="") as fh:
         fh.write(aggregate)
     if not args.quiet:
         sys.stdout.write(aggregate)
-    return 0 if failures == 0 else 2
+    return 0 if all_passed else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

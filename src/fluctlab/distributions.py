@@ -102,8 +102,10 @@ def tpm_distributions(c: KrausChannel, init_eq: ThermalState, final_eq: ThermalS
     atoms line up index-to-index and carry mass on exactly the same atoms.
     The backward atoms are stored on the forward DeltaU axis (at
     E'_n - E_m, not its negative); their total mass is gamma.
-    When both eigenbases are permutations (Hamiltonians in their energy basis),
-    the table is sum_l |A_l|^2 with rows and columns picked in energy order.
+    Each A_l is multiplied by V_f^dag on the left and by V_i on the right
+    only where that eigenbasis is dense. Where it is a permutation (a
+    Hamiltonian in its energy basis), that side of the summed table is
+    picked by index instead, with the same bits.
     """
     if c.dim != init_eq.dim or c.dim != final_eq.dim:
         raise DimensionMismatch(
@@ -112,12 +114,16 @@ def tpm_distributions(c: KrausChannel, init_eq: ThermalState, final_eq: ThermalS
         )
     h_i, h_f = init_eq.hamiltonian, final_eq.hamiltonian
     rows, cols = h_f.spectrum.permutation, h_i.spectrum.permutation
-    if rows is not None and cols is not None:
-        probs = _kraus_block_sum(c.stack, lambda k: np.abs(k) ** 2)[np.ix_(rows, cols)]
-    else:
-        vf_dag = h_f.spectrum.eigenvectors.conj().T
-        vi = h_i.spectrum.eigenvectors
-        probs = _kraus_block_sum(c.stack, lambda k: np.abs(vf_dag @ k @ vi) ** 2)
+    vf_dag = h_f.spectrum.eigenvectors.conj().T if rows is None else None
+    vi = h_i.spectrum.eigenvectors if cols is None else None
+
+    def term(k):
+        k = k if vf_dag is None else vf_dag @ k
+        return np.abs(k if vi is None else k @ vi) ** 2
+
+    probs = _kraus_block_sum(c.stack, term)
+    probs = probs if rows is None else probs[rows]
+    probs = probs if cols is None else probs[:, cols]
     with np.errstate(divide="ignore"):
         log_probs = np.log(probs)
     log_weights = np.stack([

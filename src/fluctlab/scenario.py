@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -65,6 +65,12 @@ class BatchSpec:
     beta_set: tuple
     seed: int
     unital_only: bool = False
+
+    def scenarios(self) -> Iterator["Scenario"]:
+        """The campaign's random_scenario draws, built lazily, one per seed of the spec's rng."""
+        seeds = np.random.default_rng(self.seed).integers(0, 2**63 - 1, size=self.count)
+        return (random_scenario(int(s), self.dim_range, self.n_kraus_range, self.beta_set,
+                                self.unital_only) for s in seeds)
 
 
 # document numbers: strings are refused even where float() would read them

@@ -4,9 +4,9 @@ Assembles the internal-energy change (trace formula and first moment), the
 free-energy difference, the non-unitality correction gamma and its energy
 counterpart X = -log(gamma)/beta, the forward/backward KL divergence K,
 the excess energy K/beta + X, the entropy change K + beta X and the von
-Neumann entropy change, together with the residual of every identity that
-ties them together. Residuals are reported, never silently asserted, so a
-report doubles as a regression check.
+Neumann entropy change, with the residual of every identity that ties them
+together. Residuals are reported, never asserted; evaluate, the campaign
+engine behind every CLI command, holds the one rule that judges them.
 
 Dissipated work and heat are deliberately not reported as separate
 numbers: for a map alone only their sum is well defined (unital channels
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .distributions import (
     renormalize_backward,
     tpm_distributions,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, FluctLabError, ScenarioError
 from .linalg import eigenbasis_diagonal
 from .scenario import Scenario
 from .states import (
@@ -56,6 +56,7 @@ RESIDUAL_KEYS = (
     "helmholtz",
     "moment_vs_trace",
 )
+UNITAL_GAMMA_TOL = 1e-10  # a unital campaign fails a scenario whose |gamma - 1| exceeds it
 
 
 @dataclass(frozen=True)
@@ -199,6 +200,25 @@ def scenario_artifacts(scenario: Scenario) -> ScenarioArtifacts:
 def build_report(scenario: Scenario) -> FluctuationReport:
     """Compute every report quantity and identity residual for a scenario."""
     return scenario_artifacts(scenario).report
+
+
+def residual_verdicts(report: FluctuationReport, threshold: float) -> dict:
+    """Whether each residual is below threshold, by name."""
+    return {name: value < threshold for name, value in report.residuals.items()}
+
+
+def evaluate(scenarios: Iterable[Scenario], threshold: float, unital: bool = False) -> Iterator:
+    """The campaign engine: (scenario, artifacts, passed) per scenario, lazily, in order.
+    Passed: every residual below threshold and, if unital, |gamma - 1| <= UNITAL_GAMMA_TOL
+    (NaN fails). A package error in a report is raised as ScenarioError naming the scenario."""
+    for scenario in scenarios:
+        try:
+            artifacts = scenario_artifacts(scenario)
+        except FluctLabError as exc:
+            raise ScenarioError(f"scenario {scenario.name} failed: {exc}") from exc
+        report = artifacts.report
+        yield scenario, artifacts, (all(residual_verdicts(report, threshold).values()) and
+                                    (not unital or abs(report.gamma - 1.0) <= UNITAL_GAMMA_TOL))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+import scipy.stats
 
 
 def gibbs_matrix(h, beta):
@@ -136,6 +137,41 @@ def atom_moment(atoms):
 
 def exp_average(atoms, coefficient, offset):
     return float(sum(w * np.exp(coefficient * x + offset) for x, w in atoms if w > 0))
+
+
+def haar_unitary(n, seed):
+    """Haar-random n x n unitary from scipy's own sampler."""
+    return scipy.stats.unitary_group.rvs(n, random_state=seed)
+
+
+def random_density_matrix(n, seed):
+    """Mixed state G G^dag / tr(G G^dag) for a complex Gaussian G (full rank)."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def stinespring_output(u, rho, ancilla):
+    """tr_E[U (rho x ancilla) U^dag]: the joint state evolved in full, then the
+    ancilla traced out entry by entry. The system is the first tensor factor."""
+    d, e = len(rho), len(ancilla)
+    joint = u @ np.kron(rho, ancilla) @ u.conj().T
+    out = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            for a in range(e):
+                out[i, j] += joint[i * e + a, j * e + a]
+    return out
+
+
+def stinespring_energetics(u, ancilla, h_init, h_final, beta):
+    """(DeltaU, DeltaS_V) of the Gibbs state of h_init sent through the dilation."""
+    rho = gibbs_matrix(h_init, beta)
+    rho_out = stinespring_output(u, rho, ancilla)
+    du = (np.trace(np.asarray(h_final, dtype=complex) @ rho_out).real
+          - np.trace(np.asarray(h_init, dtype=complex) @ rho).real)
+    return float(du), vn_entropy(rho_out) - vn_entropy(rho)
 
 
 # ---------------------------------------------------------------------------

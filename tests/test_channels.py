@@ -151,6 +151,19 @@ class TestStackedSums:
         assert np.count_nonzero(rho) == c.dim and not rho.imag.any()
         self.check_against_loops(c, h_i, h_f)
 
+    @pytest.mark.parametrize("diagonal_side", ["initial", "final"])
+    @pytest.mark.parametrize("n_kraus", sorted(CHANNELS))
+    def test_one_energy_basis_matches_operator_loop(self, n_kraus, diagonal_side):
+        # one shuffled diagonal Hamiltonian and one Haar basis: the table is
+        # multiplied on the dense side only and indexed on the other
+        c = self.CHANNELS[n_kraus]()
+        diagonal = Hamiltonian.from_matrix(np.diag(np.random.default_rng(n_kraus).random(c.dim)))
+        dense = random_hamiltonian(c.dim, 9)
+        h_i, h_f = (diagonal, dense) if diagonal_side == "initial" else (dense, diagonal)
+        assert h_i.spectrum.permutation is not None or h_f.spectrum.permutation is not None
+        assert h_i.spectrum.permutation is None or h_f.spectrum.permutation is None
+        self.check_against_loops(c, h_i, h_f)
+
     def test_complex_diagonal_state_keeps_the_product(self):
         # k * d can differ from k @ diag(d) in the last bit for complex d,
         # so a complex diagonal must give the product's bits

@@ -9,13 +9,17 @@ same binned atoms:
   never the transition table, and must equal sum P_F e^{iu DeltaU} over the
   atoms, which tests every moment of the binned positions;
 - a unitary remix A'_k = sum_l U_kl A_l of the Kraus operators, with zero
-  operators padded in, is the same channel and must leave the report as it is.
+  operators padded in, is the same channel and must leave the report as it is;
+- an explicit ancilla of any dimension in any mixed state, evolved jointly
+  with the system by the oracle, must give the report's DeltaU and DeltaS_V
+  through the Kraus operators sqrt(s_k) <j|U|phi_k> of the same dilation.
 
 Each runs on Haar eigenbases and on energy bases (diagonal Hamiltonians),
 whose table is read by index and whose Gibbs state scales columns.
 """
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,9 +27,11 @@ from hypothesis import strategies as st
 from fluctlab import (
     Hamiltonian,
     Scenario,
+    build_report,
     gibbs_state,
     haar_unitary,
     preset,
+    random_hamiltonian,
     random_scenario,
     scenario_artifacts,
     validate_channel,
@@ -108,3 +114,29 @@ def test_kraus_freedom_leaves_the_report_unchanged(seed, n_kraus, n_zero, energy
         assert abs(getattr(after, name) - getattr(before, name)) <= 1e-12, name
     for name, value in before.residuals.items():
         assert abs(after.residuals[name] - value) <= 1e-12, name
+
+
+def dilation_kraus(u: np.ndarray, ancilla: np.ndarray, dim: int) -> list:
+    """A_jk = sqrt(s_k) <j|U|phi_k> for the ancilla state sum_k s_k |phi_k><phi_k|,
+    with U on system x ancilla (system first)."""
+    e = len(ancilla)
+    s, phi = np.linalg.eigh(ancilla)
+    blocks = u.reshape(dim, e, dim, e)
+    return [np.sqrt(max(s[k], 0.0)) * blocks[:, j] @ phi[:, k] for j in range(e) for k in range(e)]
+
+
+@pytest.mark.parametrize("beta", [0.2, 1.0, 5.0])
+@pytest.mark.parametrize("dim,ancilla_dim", [(2, 1), (2, 2), (3, 3), (2, 4), (4, 2), (5, 4)])
+def test_explicit_ancilla_matches_the_oracle(dim, ancilla_dim, beta):
+    seed = 100 * dim + 10 * ancilla_dim + int(beta * 10)
+    u = oracle.haar_unitary(dim * ancilla_dim, seed)
+    ancilla = oracle.random_density_matrix(ancilla_dim, seed)
+    # one Haar eigenbasis and one energy basis, so both kinds of table side run
+    h_i = random_hamiltonian(dim, seed)
+    h_f = Hamiltonian.from_matrix(np.diag(np.random.default_rng(seed).random(dim)))
+    report = build_report(Scenario(name="dilation", dim=dim, beta=beta, h_initial=h_i,
+                                   h_final=h_f,
+                                   channel=validate_channel(dilation_kraus(u, ancilla, dim))))
+    du, dsv = oracle.stinespring_energetics(u, ancilla, h_i.matrix, h_f.matrix, beta)
+    assert abs(report.delta_u - du) <= 1e-12
+    assert abs(report.delta_s_v - dsv) <= 1e-12
