@@ -33,6 +33,7 @@ from .thermo import (
     ScenarioArtifacts,
     evaluate,
     fmt,
+    max_or_nan,
     report_csv_header,
     report_csv_row,
     report_to_json,
@@ -149,7 +150,7 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(report_csv_header(extra=("param", "value")))
         for value, (_, artifacts, passed) in zip(values, evaluate(scenarios, threshold)):
-            worst = max(worst, artifacts.report.max_residual())
+            worst = max_or_nan(worst, artifacts.report.max_residual())
             all_passed = all_passed and passed
             writer.writerow(report_csv_row(artifacts.report, extra=(args.param, fmt(value))))
     if not args.quiet:
@@ -171,7 +172,7 @@ def cmd_batch(args) -> int:
         for scenario, artifacts, passed in evaluate(spec.scenarios(), threshold, spec.unital_only):
             report = artifacts.report
             max_res = report.max_residual()
-            worst = max(worst, max_res)
+            worst = max_or_nan(worst, max_res)
             all_passed = all_passed and passed
             writer.writerow([
                 str(scenario.seed), str(scenario.dim), str(artifacts.unitality.unital).lower(),

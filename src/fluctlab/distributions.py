@@ -105,7 +105,10 @@ def tpm_distributions(c: KrausChannel, init_eq: ThermalState, final_eq: ThermalS
     Each A_l is multiplied by V_f^dag on the left and by V_i on the right
     only where that eigenbasis is dense. Where it is a permutation (a
     Hamiltonian in its energy basis), that side of the summed table is
-    picked by index instead, with the same bits.
+    picked by index instead, with the same bits. Where both are and the
+    operators are monomial, the table is summed from each row's one entry
+    alone: |vals[l, i]|^2 is added at (i, cols[l, i]) in operator order, the
+    same terms and order as the dense sum, so the same bits.
     """
     if c.dim != init_eq.dim or c.dim != final_eq.dim:
         raise DimensionMismatch(
@@ -121,7 +124,14 @@ def tpm_distributions(c: KrausChannel, init_eq: ThermalState, final_eq: ThermalS
         k = k if vf_dag is None else vf_dag @ k
         return np.abs(k if vi is None else k @ vi) ** 2
 
-    probs = _kraus_block_sum(c.stack, term)
+    form = c.monomial if rows is not None and cols is not None else None
+    if form is None:
+        probs = _kraus_block_sum(c.stack, term)
+    else:  # bincount adds its weights in order into zeros, so from +0.0
+        d = c.dim
+        probs = np.bincount((form.cols + d * np.arange(d)).ravel(),
+                            weights=(np.abs(form.vals) ** 2).ravel(), minlength=d * d)
+        probs = probs.reshape(d, d)
     probs = probs if rows is None else probs[rows]
     probs = probs if cols is None else probs[:, cols]
     with np.errstate(divide="ignore"):

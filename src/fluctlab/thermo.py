@@ -17,6 +17,7 @@ excess energy are what the report carries.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, NamedTuple
 
@@ -76,12 +77,18 @@ class FluctuationReport:
     residuals: dict
 
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        """The largest residual; NaN if any residual is NaN."""
+        return max_or_nan(*self.residuals.values())
 
     def as_dict(self) -> dict:
         out = {name: getattr(self, name) for name in REPORT_FIELDS}
         out["residuals"] = {name: self.residuals[name] for name in RESIDUAL_KEYS}
         return out
+
+
+def max_or_nan(*values: float) -> float:
+    """max(values), NaN if any value is NaN (the builtin max drops a NaN that is not first)."""
+    return math.nan if any(v != v for v in values) else max(values)
 
 
 # the scalar report fields, in declaration order

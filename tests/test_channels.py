@@ -182,12 +182,16 @@ class TestStackedSums:
         assert np.array_equal(c.apply(rho), self.loop_sum(ops, lambda a: a @ rho @ a.conj().T))
         assert np.array_equal(c.kraus_sum(), self.loop_sum(ops, lambda a: a @ a.conj().T))
         assert np.array_equal(_tp_sum(c.stack), self.loop_sum(ops, lambda a: a.conj().T @ a))
+        self.check_table_against_loop(c, init, final)
 
+    def check_table_against_loop(self, c, init, final):
         # generic spectra: every gap is its own atom, so the log masses are
         # the log table entries in gap order
+        ops = c.kraus_ops
         vf_dag = final.hamiltonian.spectrum.eigenvectors.conj().T
         vi = init.hamiltonian.spectrum.eigenvectors
-        log_probs = np.log(self.loop_sum(ops, lambda a: np.abs(vf_dag @ a @ vi) ** 2))
+        with np.errstate(divide="ignore"):  # a table entry no operator reaches
+            log_probs = np.log(self.loop_sum(ops, lambda a: np.abs(vf_dag @ a @ vi) ** 2))
         gaps = np.subtract.outer(final.hamiltonian.energies, init.hamiltonian.energies)
         order = np.argsort(gaps.ravel(), kind="stable")
         pf, pb_raw = tpm_distributions(c, init, final)
@@ -196,6 +200,105 @@ class TestStackedSums:
                               (log_probs + init.log_populations).ravel()[order])
         assert np.array_equal(pb_raw.log_mass,
                               (log_probs + final.log_populations[:, np.newaxis]).ravel()[order])
+
+    @staticmethod
+    def scaled_permutations(dim, n_kraus, seed, real):
+        """A_l = P_l D_l with random permutations P_l and diagonals D_l whose
+        columns are normalized over l; about a fifth of the entries are 0,
+        each leaving a row and a column of its operator empty."""
+        rng = np.random.default_rng(seed)
+        weights = rng.random((n_kraus, dim)) * (rng.random((n_kraus, dim)) > 0.2)
+        weights[0] = np.where(weights.any(axis=0), weights[0], 1.0)
+        weights /= weights.sum(axis=0)
+        phases = rng.choice([-1.0, 1.0], (n_kraus, dim)) if real else \
+            np.exp(2j * np.pi * rng.random((n_kraus, dim)))
+        stack = np.zeros((n_kraus, dim, dim), dtype=complex)
+        cols = np.arange(dim)
+        for k in range(n_kraus):
+            stack[k, rng.permutation(dim), cols] = np.sqrt(weights[k]) * phases[k]
+        return validate_channel(stack)
+
+    MONOMIAL = {
+        "identity": lambda: preset("identity", [], 3),
+        "dephasing": lambda: preset("dephasing", [0.3], 5),
+        "depolarizing": lambda: preset("depolarizing", [0.3], 6),
+        "amplitude_damping": lambda: preset("amplitude_damping", [0.4], 4),
+        "thermal_attenuator": lambda: preset("thermal_attenuator", [0.5, 0.3], 2),
+        "unitary_flip": lambda: validate_channel([[[0.0, 1.0], [1.0, 0.0]]]),
+        "one-level": lambda: random_channel(1, 65, 45),
+        **{f"real-{n}": (lambda n=n: TestStackedSums.scaled_permutations(5, n, n, True))
+           for n in (1, 63, 64, 65, 576)},
+        **{f"complex-{n}": (lambda n=n: TestStackedSums.scaled_permutations(5, n, n, False))
+           for n in (1, 63, 64, 65, 576)},
+    }
+
+    @pytest.mark.parametrize("name", sorted(MONOMIAL))
+    def test_monomial_operators_match_operator_loop(self, name):
+        c = self.MONOMIAL[name]()
+        assert "monomial" not in vars(c)  # found on first use, not at validation
+        form = c.monomial
+        assert form.cols.shape == form.vals.shape == (c.n_kraus, c.dim)
+        rebuilt = np.zeros_like(c.stack)
+        op, row = np.indices(form.cols.shape)
+        rebuilt[op, row, form.cols] = form.vals
+        assert np.array_equal(rebuilt, c.stack)
+
+        rng = np.random.default_rng(len(name))
+        h_i, h_f = (Hamiltonian.from_matrix(np.diag(rng.random(c.dim))) for _ in range(2))
+        init, final = gibbs_state(h_i, 1.0), gibbs_state(h_f, 1.0)
+        # the table adds the same |A_l[i, j]|^2 in the same order on any kernel
+        self.check_table_against_loop(c, init, final)
+
+        rho = init.state
+        applied, kraus_sum = c.apply(rho), c.kraus_sum()
+        loops = (self.loop_sum(c.kraus_ops, lambda a: a @ rho @ a.conj().T),
+                 self.loop_sum(c.kraus_ops, lambda a: a @ a.conj().T))
+        off_diagonal = ~np.eye(c.dim, dtype=bool)
+        assert not applied[off_diagonal].any() and not kraus_sum[off_diagonal].any()
+        assert not kraus_sum.imag.any()
+        if not c.stack.imag.any():
+            # a real product rounds once on any kernel: the loops' bytes
+            assert applied.tobytes() == loops[0].tobytes()
+            assert kraus_sum.tobytes() == loops[1].tobytes()
+        for got, want in zip((applied, kraus_sum), loops):
+            # a kernel may fuse a complex product's two real products; the
+            # bound was fixed before the monomial sums were written
+            assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
+
+    @pytest.mark.parametrize("ops", [
+        # one row holds two entries, every column one per operator
+        [np.sqrt(0.5) * np.eye(2), [[0.5, 0.5], [0.0, 0.0]], [[0.5, -0.5], [0.0, 0.0]]],
+        # one column holds two entries, every row one
+        [np.sqrt(0.5) * np.eye(2), [[0.5, 0.0], [0.5, 0.0]], np.diag([0.0, np.sqrt(0.5)])],
+    ], ids=["row", "column"])
+    def test_two_entries_in_a_line_are_not_monomial(self, ops):
+        c = validate_channel(ops)
+        assert np.count_nonzero(c.stack) <= c.n_kraus * c.dim  # past the dense exit
+        assert c.monomial is None
+        rho = gibbs_state(ladder(2), 1.0).state
+        assert np.array_equal(c.apply(rho),
+                              self.loop_sum(c.kraus_ops, lambda a: a @ rho @ a.conj().T))
+
+    @pytest.mark.parametrize("n_kraus", [1, 2, 5, 63, 64, 65])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_random_channels_are_not_monomial(self, dim, n_kraus):
+        assert random_channel(dim, n_kraus, 100 * dim + n_kraus).monomial is None
+        assert unitary_mixture(dim, n_kraus, 100 * dim + n_kraus).monomial is None
+
+    def test_monomial_sum_starts_from_positive_zero(self):
+        # a -0.0 population alone feeds row 1 of every dephasing operator: the
+        # loop's sum starts from +0.0, and so must the monomial one
+        c = preset("dephasing", [0.3], 3)
+        rho = np.diag([0.5, -0.0, 0.5])
+        want = self.loop_sum(c.kraus_ops, lambda a: a @ rho @ a.conj().T)
+        assert np.signbit(want[1, 1].real) == np.signbit(c.apply(rho)[1, 1].real)
+
+    def test_complex_diagonal_state_keeps_the_product_for_monomial_operators(self):
+        c = preset("amplitude_damping", [0.4], 5)
+        assert c.monomial is not None
+        rho = np.diag(np.arange(1.0, 6.0) / 15.0 * np.exp(-3j * np.linspace(0.0, 1.0, 5)))
+        assert np.array_equal(c.apply(rho),
+                              self.loop_sum(c.kraus_ops, lambda a: a @ rho @ a.conj().T))
 
     def test_operators_are_read_only_views_of_the_stack(self):
         c = self.CHANNELS[65]()

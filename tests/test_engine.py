@@ -4,6 +4,7 @@ Every command (run, sweep, batch) gets its verdicts from evaluate, so the
 output digests below pin the engine's rows and pass rule through the CLI.
 """
 
+import csv
 import dataclasses
 import hashlib
 import itertools
@@ -148,3 +149,38 @@ def test_report_error_in_batch_names_the_seed(tmp_path, monkeypatch, capsys):
     assert main(["batch", path, "--out", str(tmp_path / "o"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad_seed) in err and "planted" in err
+
+
+def test_nan_residual_reaches_every_max_residual(tmp_path, monkeypatch, capsys):
+    # eq16 is neither the first residual nor the first scenario: a builtin
+    # max would pass over it
+    spec = batch_from_dict(load("batch_mixed.json"))
+    nan_seed = next(itertools.islice(spec.scenarios(), 2, None)).seed
+    real = thermo.scenario_artifacts
+
+    def nan_eq16(report):
+        return dataclasses.replace(report, residuals=dict(report.residuals, eq16=np.nan))
+
+    def with_nan(scenario):
+        # the batch's third seed and the sweep's middle beta
+        art = real(scenario)
+        if scenario.seed == nan_seed or (scenario.name == "random-qutrit" and scenario.beta == 1):
+            return art._replace(report=nan_eq16(art.report))
+        return art
+
+    assert np.isnan(nan_eq16(thermo.build_report(random_scenario(4))).max_residual())
+    monkeypatch.setattr(thermo, "scenario_artifacts", with_nan)
+
+    out = tmp_path / "batch"
+    assert main(["batch", os.path.join(SCENARIO_DIR, "batch_mixed.json"),
+                 "--out", str(out), "--quiet"]) == 2
+    with open(out / "batch.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["max_residual"] == "nan" for row in rows] == \
+        [int(row["seed"]) == nan_seed for row in rows]
+    assert "max_residual: nan\n" in (out / "batch_summary.txt").read_text()
+
+    capsys.readouterr()
+    assert main(["sweep", os.path.join(SCENARIO_DIR, "random_qutrit.json"), "--param", "beta",
+                 "--values", "0.2,1,5", "--out", str(tmp_path / "sweep")]) == 2
+    assert "max residual: nan\n" in capsys.readouterr().out
