@@ -33,6 +33,7 @@ from .errors import (
     FluctLabError,
     InvalidBeta,
     NonFinite,
+    NotDensityMatrix,
     NotHermitian,
     NotSquare,
     NotTracePreserving,

@@ -4,24 +4,17 @@ Validation, unitality detection, application to density matrices and a
 preset catalog including non-unital cooling channels.
 
 Channels are built and validated as one (n_kraus, d, d) array, kept
-read-only as the channel's ``stack``. Every sum over the operators (the
-channel action, sum A A^dag, sum A^dag A, the TPM transition table) is
-taken KRAUS_BLOCK operators at a time by batched matmuls, with the running
-total entering each block as its first term: the operators are added
-strictly in order, so the sums are bit for bit those of a loop over them.
-Products with a real diagonal state or a permutation eigenbasis are exact,
-so they are taken as a column scaling or an index, with the same bits.
-
-Most standard maps (dephasing, depolarizing, amplitude damping, thermal
-attenuation, permutations) have monomial Kraus operators: at most one
-nonzero per row and per column. Their ``monomial`` form, found on first
-use, keeps each row's one entry, O(n_kraus * d). The channel action on a
-real diagonal state and sum A A^dag are then diagonal, and they and the
-table in two energy bases are summed over those entries alone, in operator
-order from +0.0, in O(n_kraus * d) instead of O(n_kraus * d^3). The table
-adds the dense path's terms in a loop's order, so it keeps the dense bits
-wherever the block sum keeps that order (not at d = 1, where numpy sums a
-block of more than 8 operators pairwise). The two diagonal sums round each
+read-only as the channel's ``stack``. Each Kraus pass of a report (the
+action on a state, sum A A^dag and the TPM transition table) has two routes.
+The entry route runs when the operators are monomial (at most one nonzero
+per row and per column: dephasing, depolarizing, amplitude damping, thermal
+attenuation, permutations) and the inputs are in energy bases (a real
+diagonal state; two permutation eigenbases). It sums each row's one entry,
+kept by the ``monomial`` form found on first use, in operator order from
++0.0: O(n_kraus * d) instead of O(n_kraus * d^3). Otherwise the dense route
+sums the matrix products in order by _kraus_block_sum, a loop's bits except
+at d = 1, which only _tp_sum reaches. The entry table adds the dense terms
+in the same order, so it keeps their bits. The two diagonal sums round each
 complex product as two separate real products, so they can differ in the
 last bit from a BLAS kernel that fuses the two (a complex operator, some
 d); their off-diagonals, and the imaginary part of sum A A^dag, are
@@ -45,7 +38,7 @@ from .errors import (
     ParamOutOfRange,
     UnknownPreset,
 )
-from .linalg import as_complex_matrix
+from .linalg import SpectralDecomposition, as_complex_matrix
 
 TP_TOL = 1e-10
 UNITAL_TOL = 1e-10
@@ -59,7 +52,12 @@ KRAUS_BLOCK = 64
 
 
 def _kraus_block_sum(stack: np.ndarray, term: Callable[[np.ndarray], np.ndarray]):
-    """sum_l term(A_l), where term maps a (n, d, d) slice of the stack to its n terms."""
+    """sum_l term(A_l), where term maps a (n, d, d) slice of the stack to its n terms.
+
+    Bit for bit a loop's sum, except at d = 1: numpy sums a (n, 1, 1) block
+    over its one column pairwise once n > 8. Every 1x1 pass of a report takes
+    the entry route, so only _tp_sum (the validation check) sums one that way.
+    """
     total = 0.0
     for k in range(0, len(stack), KRAUS_BLOCK):
         t = term(stack[k:k + KRAUS_BLOCK])
@@ -143,11 +141,10 @@ class KrausChannel:
     def apply(self, rho) -> np.ndarray:
         """Channel action on a density matrix (linear, trace preserving).
 
-        A real diagonal rho scales the columns of each A_l, which is exactly
-        A_l rho; a complex diagonal can differ in the last bit, so it does not.
-        With monomial operators the result for a real diagonal rho is the
+        Entry route, for monomial operators and a real diagonal rho: the
         diagonal of the terms (a rho_cc) conj(a), a = A_l[i, c] and
         c = cols[l, i], each part rounded as two separate real products.
+        Dense route otherwise: sum_l A_l rho A_l^dag.
         """
         a = as_complex_matrix(rho)
         if a.shape != (self.dim, self.dim):
@@ -155,28 +152,47 @@ class KrausChannel:
                 f"state shape {a.shape} does not match channel dimension {self.dim}"
             )
         diag = np.diagonal(a)
-        if np.count_nonzero(a) == np.count_nonzero(diag) and not diag.imag.any():
-            form = self.monomial
-            if form is not None:
-                re, im, r = form.vals.real, form.vals.imag, diag.real[form.cols]
-                br, bi = re * r, im * r  # the entries of A_l rho
-                terms = np.empty(r.shape, dtype=complex)
-                terms.real, terms.imag = br * re + bi * im, bi * re - br * im
-                return _diagonal_sum(terms)
-            return _kraus_block_sum(self.stack, lambda k: (k * diag.real) @ _dag(k))
-        return _kraus_block_sum(self.stack, lambda k: k @ a @ _dag(k))
+        real_diagonal = np.count_nonzero(a) == np.count_nonzero(diag) and not diag.imag.any()
+        form = self.monomial if real_diagonal else None
+        if form is None:
+            return _kraus_block_sum(self.stack, lambda k: k @ a @ _dag(k))
+        re, im, r = form.vals.real, form.vals.imag, diag.real[form.cols]
+        br, bi = re * r, im * r  # the entries of A_l rho
+        terms = np.empty(r.shape, dtype=complex)
+        terms.real, terms.imag = br * re + bi * im, bi * re - br * im
+        return _diagonal_sum(terms)
 
     def kraus_sum(self) -> np.ndarray:
         """sum_l A_l A_l^dag, the operator whose identity-deviation measures non-unitality.
 
-        With monomial operators it is the diagonal sum_l (Re a)^2 + (Im a)^2
-        over each row's entry a.
+        Entry route, for monomial operators: the diagonal sum_l (Re a)^2 +
+        (Im a)^2 over each row's entry a. Dense route otherwise.
         """
         form = self.monomial
         if form is not None:
             re, im = form.vals.real, form.vals.imag
             return _diagonal_sum(re * re + im * im)
         return _kraus_block_sum(self.stack, lambda k: k @ _dag(k))
+
+    def transition_table(self, final: SpectralDecomposition,
+                         initial: SpectralDecomposition) -> np.ndarray:
+        """p(n|m) = sum_l |<f_n| A_l |i_m>|^2, f_n and i_m the eigenvectors of
+        final and initial in eigenvalue order.
+
+        Entry route (monomial operators, both eigenbases permutations): a
+        bincount of |vals[l, i]|^2 at (i, cols[l, i]), which adds the dense
+        route's terms in operator order from +0.0, reordered by the two
+        permutations. Dense route otherwise: |V_f^dag A_l V_i|^2.
+        """
+        rows, cols = final.permutation, initial.permutation
+        form = self.monomial if rows is not None and cols is not None else None
+        if form is None:
+            vf_dag, vi = final.eigenvectors.conj().T, initial.eigenvectors
+            return _kraus_block_sum(self.stack, lambda k: np.abs(vf_dag @ k @ vi) ** 2)
+        d = self.dim
+        probs = np.bincount((form.cols + d * np.arange(d)).ravel(),
+                            weights=(np.abs(form.vals) ** 2).ravel(), minlength=d * d)
+        return probs.reshape(d, d)[rows][:, cols]
 
 
 class UnitalityCheck(NamedTuple):

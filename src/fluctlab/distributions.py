@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import KrausChannel, _kraus_block_sum
+from .channels import KrausChannel
 from .errors import DimensionMismatch, SupportMismatch, ZeroMass
 from .states import Hamiltonian, ThermalState
 
@@ -102,13 +102,7 @@ def tpm_distributions(c: KrausChannel, init_eq: ThermalState, final_eq: ThermalS
     atoms line up index-to-index and carry mass on exactly the same atoms.
     The backward atoms are stored on the forward DeltaU axis (at
     E'_n - E_m, not its negative); their total mass is gamma.
-    Each A_l is multiplied by V_f^dag on the left and by V_i on the right
-    only where that eigenbasis is dense. Where it is a permutation (a
-    Hamiltonian in its energy basis), that side of the summed table is
-    picked by index instead, with the same bits. Where both are and the
-    operators are monomial, the table is summed from each row's one entry
-    alone: |vals[l, i]|^2 is added at (i, cols[l, i]) in operator order, the
-    same terms and order as the dense sum, so the same bits.
+    The table comes from KrausChannel.transition_table.
     """
     if c.dim != init_eq.dim or c.dim != final_eq.dim:
         raise DimensionMismatch(
@@ -116,24 +110,7 @@ def tpm_distributions(c: KrausChannel, init_eq: ThermalState, final_eq: ThermalS
             f"final state dim {final_eq.dim} must agree"
         )
     h_i, h_f = init_eq.hamiltonian, final_eq.hamiltonian
-    rows, cols = h_f.spectrum.permutation, h_i.spectrum.permutation
-    vf_dag = h_f.spectrum.eigenvectors.conj().T if rows is None else None
-    vi = h_i.spectrum.eigenvectors if cols is None else None
-
-    def term(k):
-        k = k if vf_dag is None else vf_dag @ k
-        return np.abs(k if vi is None else k @ vi) ** 2
-
-    form = c.monomial if rows is not None and cols is not None else None
-    if form is None:
-        probs = _kraus_block_sum(c.stack, term)
-    else:  # bincount adds its weights in order into zeros, so from +0.0
-        d = c.dim
-        probs = np.bincount((form.cols + d * np.arange(d)).ravel(),
-                            weights=(np.abs(form.vals) ** 2).ravel(), minlength=d * d)
-        probs = probs.reshape(d, d)
-    probs = probs if rows is None else probs[rows]
-    probs = probs if cols is None else probs[:, cols]
+    probs = c.transition_table(h_f.spectrum, h_i.spectrum)
     with np.errstate(divide="ignore"):
         log_probs = np.log(probs)
     log_weights = np.stack([

@@ -17,6 +17,10 @@ class NotHermitian(FluctLabError):
     """A matrix deviates from its own adjoint beyond tolerance."""
 
 
+class NotDensityMatrix(FluctLabError, ValueError):
+    """A state's trace differs from 1 or it has a negative eigenvalue."""
+
+
 class DimensionMismatch(FluctLabError):
     """Operands act on incompatible Hilbert-space dimensions."""
 

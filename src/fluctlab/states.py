@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidBeta, NotHermitian, SupportViolation
+from .errors import DimensionMismatch, InvalidBeta, NotDensityMatrix, NotHermitian, SupportViolation
 from .linalg import (
     SpectralDecomposition,
     as_complex_matrix,
@@ -73,10 +73,10 @@ def _checked_spectrum(rho, tol: float = DENSITY_TOL) -> tuple[np.ndarray, np.nda
         raise NotHermitian(f"density matrix deviation from Hermiticity {dev:.3e}")
     tr = float(np.trace(a).real)
     if abs(tr - 1.0) > tol:
-        raise ValueError(f"density matrix trace {tr!r} differs from 1")
+        raise NotDensityMatrix(f"density matrix trace {tr!r} differs from 1")
     w = np.linalg.eigvalsh((a + a.conj().T) / 2)
     if w[0] < -tol:
-        raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
+        raise NotDensityMatrix(f"density matrix has negative eigenvalue {w[0]:.3e}")
     return a, w
 
 

@@ -141,8 +141,9 @@ class TestStackedSums:
 
     @pytest.mark.parametrize("n_kraus", sorted(CHANNELS))
     def test_energy_basis_matches_operator_loop(self, n_kraus):
-        # diagonal Hamiltonians in shuffled order: the table is read by index
-        # and the diagonal Gibbs state scales columns, with the loops' bits
+        # diagonal Hamiltonians in shuffled order: the random channels take the
+        # dense route through 0/1 eigenbases and a real diagonal Gibbs state,
+        # exact products, and the depolarizing one the entry route
         c = self.CHANNELS[n_kraus]()
         rng = np.random.default_rng(n_kraus)
         h_i, h_f = (Hamiltonian.from_matrix(np.diag(rng.random(c.dim))) for _ in range(2))
@@ -154,8 +155,8 @@ class TestStackedSums:
     @pytest.mark.parametrize("diagonal_side", ["initial", "final"])
     @pytest.mark.parametrize("n_kraus", sorted(CHANNELS))
     def test_one_energy_basis_matches_operator_loop(self, n_kraus, diagonal_side):
-        # one shuffled diagonal Hamiltonian and one Haar basis: the table is
-        # multiplied on the dense side only and indexed on the other
+        # one shuffled diagonal Hamiltonian and one Haar basis: every table
+        # takes the dense route, its product with the 0/1 side exact
         c = self.CHANNELS[n_kraus]()
         diagonal = Hamiltonian.from_matrix(np.diag(np.random.default_rng(n_kraus).random(c.dim)))
         dense = random_hamiltonian(c.dim, 9)
@@ -165,8 +166,8 @@ class TestStackedSums:
         self.check_against_loops(c, h_i, h_f)
 
     def test_complex_diagonal_state_keeps_the_product(self):
-        # k * d can differ from k @ diag(d) in the last bit for complex d,
-        # so a complex diagonal must give the product's bits
+        # only a real diagonal is an energy-basis state: a complex one takes
+        # the dense route and gives the product's bits
         c = random_channel(5, 3, 1)
         p = np.arange(1.0, 6.0) / 15.0
         rho = np.diag(p * np.exp(-3j * np.linspace(0.0, 1.0, 5)))

@@ -15,8 +15,12 @@ same binned atoms:
   through the Kraus operators sqrt(s_k) <j|U|phi_k> of the same dilation.
 
 Each runs on Haar eigenbases and on energy bases (diagonal Hamiltonians),
-whose table is read by index and whose Gibbs state scales columns.
+where monomial channels take the entry route of every Kraus pass and dense
+channels multiply by 0/1 eigenbases and a diagonal Gibbs state.
 """
+
+import ast
+import pathlib
 
 import numpy as np
 import oracle
@@ -131,7 +135,7 @@ def test_explicit_ancilla_matches_the_oracle(dim, ancilla_dim, beta):
     seed = 100 * dim + 10 * ancilla_dim + int(beta * 10)
     u = oracle.haar_unitary(dim * ancilla_dim, seed)
     ancilla = oracle.random_density_matrix(ancilla_dim, seed)
-    # one Haar eigenbasis and one energy basis, so both kinds of table side run
+    # one Haar eigenbasis and one energy basis: the dense table, exact on the 0/1 side
     h_i = random_hamiltonian(dim, seed)
     h_f = Hamiltonian.from_matrix(np.diag(np.random.default_rng(seed).random(dim)))
     report = build_report(Scenario(name="dilation", dim=dim, beta=beta, h_initial=h_i,
@@ -140,3 +144,18 @@ def test_explicit_ancilla_matches_the_oracle(dim, ancilla_dim, beta):
     du, dsv = oracle.stinespring_energetics(u, ancilla, h_i.matrix, h_f.matrix, beta)
     assert abs(report.delta_u - du) <= 1e-12
     assert abs(report.delta_s_v - dsv) <= 1e-12
+
+
+def test_oracle_never_imports_the_package():
+    # the oracle is an independent reference only while no fluctlab code runs in it
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import at line {node.lineno}"
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            assert module.split(".")[0] != "fluctlab", f"imports {module} at line {node.lineno}"

@@ -4,6 +4,7 @@ import pytest
 import oracle
 from fluctlab import (
     DimensionMismatch,
+    FluctLabError,
     Hamiltonian,
     InvalidBeta,
     NotHermitian,
@@ -171,10 +172,12 @@ class TestStateEntropies:
     ])
     def test_keeps_the_density_checks(self, rho, error, message):
         ts = gibbs_state(H01, 1.0)
-        with pytest.raises(error, match=message):
+        with pytest.raises(error, match=message) as raised:
             state_entropies(rho, ts)
-        with pytest.raises(error, match=message):
+        assert isinstance(raised.value, FluctLabError)
+        with pytest.raises(error, match=message) as raised:
             von_neumann_entropy(rho)
+        assert isinstance(raised.value, FluctLabError)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

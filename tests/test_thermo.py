@@ -13,6 +13,8 @@ from fluctlab import (
     gibbs_state,
     internal_energy_change,
     preset,
+    random_channel,
+    random_hamiltonian,
     random_scenario,
     relative_entropy,
     scenario_artifacts,
@@ -25,6 +27,8 @@ from fluctlab.thermo import (
     report_csv_row,
     report_to_json,
 )
+
+LADDER = Hamiltonian.from_matrix(np.diag(np.linspace(0.0, 1.0, 24)))
 
 # frozen against the brute-force TPM oracle (tests/oracle.py)
 GOLDEN = {
@@ -169,22 +173,51 @@ class TestBuildReport:
         assert calls == [(6, 6)]
         assert report.max_residual() < 1e-8
 
+    LADDER_CASES = {
+        # the d = 24 depolarizing ladder (576 monomial operators)
+        "depolarizing": lambda: (preset("depolarizing", [0.3], 24), LADDER),
+        # a dense channel on the ladder, and with a Haar initial basis
+        "random": lambda: (random_channel(24, 5, 24), LADDER),
+        "random-haar": lambda: (random_channel(24, 5, 24), random_hamiltonian(24, 24)),
+    }
+
     @pytest.mark.parametrize("beta,digests", [
-        (0.2, ["40c37e990252f99e", "322651708f37ae41", "546a4b23f65404b4", "061dc9c749c69349"]),
-        (1.0, ["809b4434c4b08a54", "e625be3efa74faec", "de82ee274bd723bf", "90b353afa3313886"]),
-        (5.0, ["ddc5fd0c6987f807", "29eb81d7be25654b", "b67a65cc869d7dee", "59c43329c22e22a7"]),
+        (0.2, {"depolarizing": ["40c37e990252f99e", "322651708f37ae41",
+                                "546a4b23f65404b4", "061dc9c749c69349"],
+               "random": ["1cdf415c7121a62d", "4b588c6301cf7355",
+                          "67b4633dd103950f", "cbf1e78cb3686caa"],
+               "random-haar": ["c38c1d81d01885ba", "a50a0ad27c19d1e6",
+                               "c2039e2e6dc3b1ea", "73781f394b214aa1"]}),
+        (1.0, {"depolarizing": ["809b4434c4b08a54", "e625be3efa74faec",
+                                "de82ee274bd723bf", "90b353afa3313886"],
+               "random": ["b755120b5488fe3c", "20268c36202b44b8",
+                          "3cf8118636350cbb", "d2ccd197c241e909"],
+               "random-haar": ["e3d3dea19039ec24", "71ec154db098d338",
+                               "66873f91d8e10d06", "b4f72b85bbc4081a"]}),
+        (5.0, {"depolarizing": ["ddc5fd0c6987f807", "29eb81d7be25654b",
+                                "b67a65cc869d7dee", "59c43329c22e22a7"],
+               "random": ["a867e7b8e970d108", "4b3dd507138ed165",
+                          "68d6afd110ca05e6", "57cb03ead43104e7"],
+               "random-haar": ["f0baff84fb633de8", "ac2511f3d8de59be",
+                               "84b70e4998a52587", "3e5b8dcedbbabcd7"]}),
     ])
     def test_ladder_artifacts_keep_their_bytes(self, beta, digests):
         # sha256 prefixes of the report JSON and of each distribution's
-        # positions and log masses on the d = 24 depolarizing ladder (576
-        # operators), recorded while the energy-basis Hamiltonians still went
-        # through the basis products; indexing and column scaling keep every bit
-        h = Hamiltonian.from_matrix(np.diag(np.linspace(0.0, 1.0, 24)))
-        art = scenario_artifacts(Scenario(name="ladder", dim=24, beta=beta, h_initial=h,
-                                          h_final=h, channel=preset("depolarizing", [0.3], 24)))
-        got = [hashlib.sha256(report_to_json(art.report).encode()).hexdigest()[:16]]
-        for p in (art.forward, art.backward_raw, art.backward):
-            got.append(hashlib.sha256(p.delta_u.tobytes() + p.log_mass.tobytes()).hexdigest()[:16])
+        # positions and log masses, with h_final the d = 24 ladder. The
+        # depolarizing pins were recorded through the dense products, before
+        # the entry route existed; the dense-channel pins while energy bases
+        # were still read by index and column scaling, before the dense route
+        # took them. Both routes keep every bit.
+        got = {}
+        for name, make in self.LADDER_CASES.items():
+            channel, h_initial = make()
+            art = scenario_artifacts(Scenario(name="ladder", dim=24, beta=beta,
+                                              h_initial=h_initial, h_final=LADDER,
+                                              channel=channel))
+            got[name] = [hashlib.sha256(report_to_json(art.report).encode()).hexdigest()[:16]]
+            for p in (art.forward, art.backward_raw, art.backward):
+                got[name].append(
+                    hashlib.sha256(p.delta_u.tobytes() + p.log_mass.tobytes()).hexdigest()[:16])
         assert got == digests
 
     def test_artifacts_distributions_consistent(self):
