@@ -12,7 +12,6 @@ from .channels import (
     UnitalityCheck,
     haar_isometry,
     haar_unitary,
-    is_unital,
     preset,
     random_channel,
     unitary_mixture,
@@ -22,7 +21,6 @@ from .distributions import (
     EnergyDistribution,
     crooks_residual,
     exp_average,
-    gamma_of,
     kl_divergence,
     renormalize_backward,
     tpm_distributions,
@@ -40,7 +38,6 @@ from .errors import (
     ParamOutOfRange,
     ScenarioError,
     SupportMismatch,
-    SupportViolation,
     UnknownParam,
     UnknownPreset,
     ZeroMass,
@@ -57,19 +54,13 @@ from .scenario import (
 from .states import (
     Hamiltonian,
     ThermalState,
-    check_density_matrix,
     gibbs_state,
-    nonequilibrium_entropy,
-    relative_entropy,
     state_entropies,
-    von_neumann_entropy,
 )
 from .thermo import (
     FluctuationReport,
     ScenarioArtifacts,
     build_report,
-    entropy_change,
-    excess_energy,
     internal_energy_change,
     scenario_artifacts,
 )

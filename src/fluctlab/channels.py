@@ -240,13 +240,9 @@ def _channel(stack: np.ndarray, label: str) -> KrausChannel:
     return KrausChannel(stack=stack, label=label)
 
 
-def is_unital(c: KrausChannel) -> UnitalityCheck:
-    """True iff sum_l A_l A_l^dag = identity; the deviation is always reported."""
-    return unitality_of_sum(c.kraus_sum())
-
-
 def unitality_of_sum(kraus_sum: np.ndarray) -> UnitalityCheck:
-    """is_unital from a channel's sum_l A_l A_l^dag, already computed."""
+    """Whether a channel is unital, from its sum_l A_l A_l^dag (``kraus_sum()``):
+    unital iff that sum is the identity; the deviation is always reported."""
     dev = float(np.max(np.abs(kraus_sum - np.eye(len(kraus_sum)))))
     return UnitalityCheck(unital=dev < UNITAL_TOL, deviation=dev)
 

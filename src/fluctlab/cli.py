@@ -61,6 +61,8 @@ def _load_json(path: str, seed: int | None):
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"{path}: JSON nested too deeply to parse") from exc
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     if seed is not None and isinstance(doc, dict):

@@ -124,13 +124,9 @@ def tpm_distributions(c: KrausChannel, init_eq: ThermalState, final_eq: ThermalS
             EnergyDistribution(positions[:, 1], log_masses[:, 1], tol))
 
 
-def gamma_of(c: KrausChannel, final_eq: ThermalState) -> float:
-    """gamma = tr[sum_l A_l A_l^dag rho'_eq]; equals 1 for unital channels."""
-    return gamma_of_sum(c.kraus_sum(), final_eq)
-
-
 def gamma_of_sum(kraus_sum: np.ndarray, final_eq: ThermalState) -> float:
-    """gamma_of from a channel's sum_l A_l A_l^dag, already computed."""
+    """gamma = tr[sum_l A_l A_l^dag rho'_eq] from a channel's ``kraus_sum()``;
+    equals 1 for unital channels."""
     if len(kraus_sum) != final_eq.dim:
         raise DimensionMismatch(
             f"channel dim {len(kraus_sum)} does not match state dim {final_eq.dim}"

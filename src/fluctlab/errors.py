@@ -29,10 +29,6 @@ class InvalidBeta(FluctLabError):
     """Inverse temperature must be positive and finite."""
 
 
-class SupportViolation(FluctLabError):
-    """The first state has weight outside the second one's support."""
-
-
 class NotTracePreserving(FluctLabError):
     """A Kraus list fails the trace-preservation condition."""
 

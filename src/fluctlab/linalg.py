@@ -75,10 +75,6 @@ class SpectralDecomposition:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
-    def unitarity_deviation(self) -> float:
-        v = self.eigenvectors
-        return float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
-
 
 def hermitian_eig(m) -> SpectralDecomposition:
     """Decompose a Hermitian matrix, eigenvalues sorted ascending.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidBeta, NotDensityMatrix, NotHermitian, SupportViolation
+from .errors import DimensionMismatch, InvalidBeta, NotDensityMatrix, NotHermitian
 from .linalg import (
     SpectralDecomposition,
     as_complex_matrix,
@@ -25,8 +25,8 @@ from .linalg import (
     hermiticity_deviation,
 )
 
-# Eigenvalues below this are treated as exact zeros (0 log 0 = 0, support
-# checks); it separates genuine rank deficiency from round-off.
+# Eigenvalues below this are treated as exact zeros in S_V (0 log 0 = 0); it
+# separates genuine rank deficiency from round-off.
 EIG_CLAMP = 1e-12
 
 DENSITY_TOL = 1e-10
@@ -63,26 +63,22 @@ class Hamiltonian:
         return float(e[-1] - e[0])
 
 
-def _checked_spectrum(rho, tol: float = DENSITY_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """check_density_matrix, plus the ascending eigenvalues its positivity check found."""
+def _checked_spectrum(rho) -> tuple[np.ndarray, np.ndarray]:
+    """A density matrix checked for Hermiticity, unit trace and positivity (to
+    DENSITY_TOL), with the ascending eigenvalues its positivity check found."""
     a = as_complex_matrix(rho)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"density matrix must be square, got {a.shape}")
     dev = hermiticity_deviation(a)
-    if dev > tol:
+    if dev > DENSITY_TOL:
         raise NotHermitian(f"density matrix deviation from Hermiticity {dev:.3e}")
     tr = float(np.trace(a).real)
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > DENSITY_TOL:
         raise NotDensityMatrix(f"density matrix trace {tr!r} differs from 1")
     w = np.linalg.eigvalsh((a + a.conj().T) / 2)
-    if w[0] < -tol:
+    if w[0] < -DENSITY_TOL:
         raise NotDensityMatrix(f"density matrix has negative eigenvalue {w[0]:.3e}")
     return a, w
-
-
-def check_density_matrix(rho, tol: float = DENSITY_TOL) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a density matrix."""
-    return _checked_spectrum(rho, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -136,65 +132,21 @@ def gibbs_state(h: Hamiltonian, beta: float) -> ThermalState:
     )
 
 
-def _entropy_of_spectrum(w: np.ndarray) -> float:
-    """-sum w log w over the eigenvalues above EIG_CLAMP."""
-    w = np.clip(w, 0.0, 1.0)
-    nz = w > EIG_CLAMP
-    return float(-(w[nz] * np.log(w[nz])).sum())
+def state_entropies(rho, reference: ThermalState) -> tuple[float, float]:
+    """(S_V(rho), -tr[rho log rho_eq]) from one validation and one spectrum of rho.
 
-
-def von_neumann_entropy(rho) -> float:
-    """S_V(rho) = -tr[rho log rho] with the convention 0 log 0 = 0."""
-    return _entropy_of_spectrum(_checked_spectrum(rho)[1])
-
-
-def relative_entropy(rho, sigma) -> float:
-    """Quantum relative entropy S_R(rho || sigma) = tr[rho log rho - rho log sigma].
-
-    Raises SupportViolation (the divergent case) when rho carries weight
-    outside sigma's support, detected at the EIG_CLAMP eigenvalue threshold.
+    S_V = -sum w log w over the eigenvalues w of rho above EIG_CLAMP. The second
+    entropy is read through the reference's exact log-populations, so it stays
+    accurate at large beta where the raw populations underflow. It equals
+    S_R(rho || rho_eq) + S_V(rho) and, by the Gibbs form of the reference,
+    beta (tr[rho H] - F).
     """
-    r, rw = _checked_spectrum(rho)
-    s = check_density_matrix(sigma)
-    if r.shape != s.shape:
-        raise DimensionMismatch(f"state dimensions differ: {r.shape} vs {s.shape}")
-    sw, sv = np.linalg.eigh((s + s.conj().T) / 2)
-    sw = np.clip(sw, 0.0, 1.0)
-    diag = eigenbasis_diagonal(sv, r)
-    kernel = sw <= EIG_CLAMP
-    if kernel.any():
-        leak = float(diag[kernel].sum())
-        if leak > EIG_CLAMP:
-            raise SupportViolation(
-                f"rho carries weight {leak:.3e} outside sigma's support"
-            )
-    live = ~kernel
-    tr_r_log_s = float((diag[live] * np.log(sw[live])).sum())
-    return -_entropy_of_spectrum(rw) - tr_r_log_s
-
-
-def _reference_entropy(r: np.ndarray, reference: ThermalState) -> float:
-    """-tr[r log rho_eq] for a checked density matrix r."""
+    r, w = _checked_spectrum(rho)
     if r.shape[0] != reference.dim:
         raise DimensionMismatch(
             f"state dimension {r.shape[0]} differs from reference {reference.dim}"
         )
+    w = np.clip(w, 0.0, 1.0)
+    nz = w > EIG_CLAMP
     diag = eigenbasis_diagonal(reference.hamiltonian.spectrum.eigenvectors, r)
-    return float(-(diag * reference.log_populations).sum())
-
-
-def nonequilibrium_entropy(rho, reference: ThermalState) -> float:
-    """-tr[rho log rho_eq] against a full-rank thermal reference.
-
-    Evaluated through the reference's exact log-populations, so it stays
-    accurate at large beta where the raw populations underflow the support
-    threshold. Equals S_R(rho || rho_eq) + S_V(rho) and, by the Gibbs form
-    of the reference, beta (tr[rho H] - F).
-    """
-    return _reference_entropy(check_density_matrix(rho), reference)
-
-
-def state_entropies(rho, reference: ThermalState) -> tuple[float, float]:
-    """(S_V(rho), -tr[rho log rho_eq]) from one validation and one spectrum of rho."""
-    r, w = _checked_spectrum(rho)
-    return _entropy_of_spectrum(w), _reference_entropy(r, reference)
+    return float(-(w[nz] * np.log(w[nz])).sum()), float(-(diag * reference.log_populations).sum())

@@ -62,7 +62,14 @@ UNITAL_GAMMA_TOL = 1e-10  # a unital campaign fails a scenario whose |gamma - 1|
 
 @dataclass(frozen=True)
 class FluctuationReport:
-    """All derived quantities of a scenario plus identity residuals (nats/energy units)."""
+    """All derived quantities of a scenario plus identity residuals (nats/energy units).
+
+    ``excess_energy`` is K/beta + X, the part of DeltaU beyond the free-energy
+    difference, and ``delta_s`` is DeltaS = K + beta X, the microscopic
+    entropy-change law. Both are non-negative for unital dynamics (X = 0
+    there); non-unital channels can push them negative, cooling being the
+    physical example.
+    """
 
     delta_u: float
     delta_u_moment: float
@@ -107,20 +114,6 @@ def internal_energy_change(rho_out: np.ndarray, init: ThermalState,
                  - np.trace(init.hamiltonian.matrix @ init.state).real)
 
 
-def excess_energy(kl: float, x: float, beta: float) -> float:
-    """K/beta + X, the part of DeltaU beyond the free-energy difference.
-
-    Always non-negative for unital dynamics (X = 0 there); non-unital
-    channels can push it negative, cooling being the physical example.
-    """
-    return kl / beta + x
-
-
-def entropy_change(kl: float, x: float, beta: float) -> float:
-    """DeltaS = K + beta X, the microscopic entropy-change law."""
-    return kl + beta * x
-
-
 class ScenarioArtifacts(NamedTuple):
     report: FluctuationReport
     forward: EnergyDistribution
@@ -163,15 +156,15 @@ def scenario_artifacts(scenario: Scenario) -> ScenarioArtifacts:
     du_trace = internal_energy_change(rho_out, init_eq, scenario.h_final)
     du_moment = pf.first_moment()
 
-    # Stable at any beta: the thermal log-populations are exact, unlike a
-    # generic relative-entropy call whose support threshold can clip them.
+    # Stable at any beta: the entropies read the exact thermal log-populations,
+    # never the log of populations that may underflow.
     # For the Gibbs state itself both entropies are -sum p log p, exactly.
     s_v_out, s_neq_out = state_entropies(rho_out, final_eq)
     s_v_in = s_neq_in = float(-(init_eq.populations * init_eq.log_populations).sum())
     s_r_final = s_neq_out - s_v_out
     ds_state = s_neq_out - s_neq_in
 
-    ds = entropy_change(kl, x, beta)
+    ds = kl + beta * x
     dsv = s_v_out - s_v_in
 
     residuals = {
@@ -194,7 +187,7 @@ def scenario_artifacts(scenario: Scenario) -> ScenarioArtifacts:
         gamma=gamma,
         x=x,
         kl=kl,
-        excess_energy=excess_energy(kl, x, beta),
+        excess_energy=kl / beta + x,
         delta_s=ds,
         delta_s_v=dsv,
         s_r_final=s_r_final,

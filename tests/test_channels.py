@@ -16,7 +16,6 @@ from fluctlab import (
     gibbs_state,
     haar_isometry,
     haar_unitary,
-    is_unital,
     preset,
     random_channel,
     random_hamiltonian,
@@ -25,7 +24,7 @@ from fluctlab import (
     validate_channel,
 )
 from fluctlab import channels, cli
-from fluctlab.channels import _tp_sum
+from fluctlab.channels import _tp_sum, unitality_of_sum
 
 AMP_DAMP_OPS = [np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
                 np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)]
@@ -63,15 +62,15 @@ class TestValidateChannel:
 
 class TestIsUnital:
     def test_unitary_channel(self):
-        check = is_unital(validate_channel([haar_unitary(4, 2)]))
+        check = unitality_of_sum(validate_channel([haar_unitary(4, 2)]).kraus_sum())
         assert check.unital and check.deviation < 1e-12
 
     def test_dephasing(self):
         # Pauli ops are unitary, so the weighted sum is the identity
-        assert is_unital(validate_channel(DEPHASE_OPS)).unital
+        assert unitality_of_sum(validate_channel(DEPHASE_OPS).kraus_sum()).unital
 
     def test_amplitude_damping(self):
-        check = is_unital(validate_channel(AMP_DAMP_OPS))
+        check = unitality_of_sum(validate_channel(AMP_DAMP_OPS).kraus_sum())
         assert not check.unital
         # sum A A^dag = diag(2, 0), max-abs deviation from identity is 1
         assert abs(check.deviation - 1.0) < 1e-14
@@ -346,7 +345,7 @@ class TestBackward:
         for c in presets:
             ts = gibbs_state(ladder(c.dim), 1.0)
             _, pb = tpm_distributions(c, ts, ts)
-            assert (abs(pb.total_mass - 1.0) < 1e-10) == is_unital(c).unital
+            assert (abs(pb.total_mass - 1.0) < 1e-10) == unitality_of_sum(c.kraus_sum()).unital
 
     def test_backward_unitality(self):
         # sum B^dag B = I because the forward channel preserves trace, which
@@ -370,7 +369,7 @@ class TestPresets:
 
     def test_full_depolarizing(self):
         c = preset("depolarizing", [1.0], 2)
-        assert is_unital(c).unital
+        assert unitality_of_sum(c.kraus_sum()).unital
         rho = np.array([[0.9, 0.3], [0.3, 0.1]], dtype=complex)
         np.testing.assert_allclose(c.apply(rho), np.eye(2) / 2.0, atol=1e-12)
 
@@ -390,7 +389,7 @@ class TestPresets:
         plain = preset("amplitude_damping", [0.7], 2)
         rho = np.array([[0.2, 0.1], [0.1, 0.8]], dtype=complex)
         np.testing.assert_allclose(cold.apply(rho), plain.apply(rho), atol=1e-14)
-        assert not is_unital(cold).unital
+        assert not unitality_of_sum(cold.kraus_sum()).unital
 
     def test_thermal_attenuator_qubit_only(self):
         with pytest.raises(DimensionMismatch):

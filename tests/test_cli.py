@@ -398,6 +398,26 @@ def test_non_finite_entries_exit_1(tmp_path, capsys, command, fields):
     assert not (tmp_path / "o").exists()
 
 
+# nested far beyond the recursion limit of the json decoder
+DEEP_DOCUMENTS = {
+    "arrays": "[" * 100000 + "]" * 100000,
+    "objects": '{"a": ' * 5000 + "1" + "}" * 5000,
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "batch"])
+@pytest.mark.parametrize("text", DEEP_DOCUMENTS.values(), ids=DEEP_DOCUMENTS)
+def test_deeply_nested_document_exits_1(tmp_path, capsys, command, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    flags = ["--param", "beta", "--values", "1"] if command == "sweep" else []
+    code = main([command, str(path), "--out", str(tmp_path / "o"), "--quiet"] + flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "deep.json" in err and "nested too deeply" in err
+    assert not (tmp_path / "o").exists()
+
+
 # numbers outside the float range, numbers written as strings, and seeds,
 # dimensions and Kraus counts that are not finite integers in range
 OUT_OF_DOMAIN_DOCS = {

@@ -1,0 +1,59 @@
+"""The package's public surface: every exported name sits on a computed path."""
+
+import importlib
+import os
+import re
+import types
+
+import pytest
+
+import fluctlab
+
+PUBLIC = [
+    "BatchSpec", "DimensionMismatch", "EnergyDistribution", "FluctLabError",
+    "FluctuationReport", "Hamiltonian", "InvalidBeta", "KrausChannel", "NonFinite",
+    "NotDensityMatrix", "NotHermitian", "NotSquare", "NotTracePreserving",
+    "ParamOutOfRange", "Scenario", "ScenarioArtifacts", "ScenarioError",
+    "SpectralDecomposition", "SupportMismatch", "ThermalState", "UnitalityCheck",
+    "UnknownParam", "UnknownPreset", "ZeroMass", "batch_from_dict", "build_report",
+    "crooks_residual", "exp_average", "gibbs_state", "haar_isometry", "haar_unitary",
+    "hermitian_eig", "internal_energy_change", "kl_divergence", "preset",
+    "random_channel", "random_hamiltonian", "random_scenario", "renormalize_backward",
+    "scenario_artifacts", "scenario_from_dict", "state_entropies", "tpm_distributions",
+    "unitary_mixture", "validate_channel", "write_distribution_csv",
+]
+
+# names, under their defining module, that sat on no computed path and were removed
+REMOVED = [
+    "states.relative_entropy",
+    "states.von_neumann_entropy",
+    "states.nonequilibrium_entropy",
+    "states.check_density_matrix",
+    "errors.SupportViolation",
+    "distributions.gamma_of",
+    "channels.is_unital",
+    "thermo.entropy_change",
+    "thermo.excess_energy",
+    "linalg.SpectralDecomposition.unitarity_deviation",
+]
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+
+
+def test_public_names():
+    names = sorted(n for n in dir(fluctlab) if not n.startswith("_")
+                   and not isinstance(getattr(fluctlab, n), types.ModuleType))
+    assert names == PUBLIC
+
+
+@pytest.mark.parametrize("path", REMOVED)
+def test_removed_name_is_gone(path):
+    module, *owners, name = path.split(".")
+    owner = importlib.import_module(f"fluctlab.{module}")
+    for attr in owners:
+        owner = getattr(owner, attr)
+    assert not hasattr(owner, name)
+    assert not hasattr(fluctlab, name)
+    if name != "excess_energy":  # still the name of a report field
+        with open(README) as fh:
+            assert not re.search(rf"\b{name}\b", fh.read())

@@ -8,13 +8,9 @@ from fluctlab import (
     Hamiltonian,
     InvalidBeta,
     NotHermitian,
-    SupportViolation,
     gibbs_state,
-    nonequilibrium_entropy,
     random_hamiltonian,
-    relative_entropy,
     state_entropies,
-    von_neumann_entropy,
 )
 
 # frozen against the brute-force expm oracle (tests/oracle.py)
@@ -26,6 +22,21 @@ PURE_VS_GIBBS = 0.3132616875182228
 
 H01 = Hamiltonian.from_matrix(np.diag([0.0, 1.0]))
 KET0 = np.diag([1.0, 0.0]).astype(complex)
+
+
+def von_neumann(rho):
+    """S_V(rho) through state_entropies; the reference does not enter S_V."""
+    flat = Hamiltonian.from_matrix(np.zeros((len(rho), len(rho))))
+    return state_entropies(rho, gibbs_state(flat, 1.0))[0]
+
+
+def relative(rho, sigma):
+    """S_R(rho || sigma) through state_entropies: a full-rank sigma is the Gibbs
+    state of -log sigma at beta = 1, and S_R = -tr[rho log sigma] - S_V(rho)."""
+    w, v = np.linalg.eigh(sigma)
+    minus_log_sigma = Hamiltonian.from_matrix(-(v * np.log(w)) @ v.conj().T)
+    s_v, s_neq = state_entropies(rho, gibbs_state(minus_log_sigma, 1.0))
+    return s_neq - s_v
 
 
 class TestGibbsState:
@@ -69,13 +80,13 @@ class TestGibbsState:
 
 class TestVonNeumannEntropy:
     def test_pure_state(self):
-        assert von_neumann_entropy(KET0) == 0.0
+        assert von_neumann(KET0) == 0.0
 
     def test_maximally_mixed(self):
-        assert abs(von_neumann_entropy(np.eye(2) / 2.0) - np.log(2.0)) < 1e-14
+        assert abs(von_neumann(np.eye(2) / 2.0) - np.log(2.0)) < 1e-14
 
     def test_gibbs_qubit(self):
-        value = von_neumann_entropy(np.diag([GIBBS_P0, GIBBS_P1]))
+        value = von_neumann(np.diag([GIBBS_P0, GIBBS_P1]))
         assert abs(value - GIBBS_SV) < 1e-14
 
     def test_bounds(self):
@@ -85,22 +96,21 @@ class TestVonNeumannEntropy:
             z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             rho = z @ z.conj().T
             rho /= np.trace(rho).real
-            s = von_neumann_entropy(rho)
+            s = von_neumann(rho)
             assert -1e-10 <= s <= np.log(d) + 1e-10
 
 
 class TestRelativeEntropy:
     def test_self_is_zero(self):
-        rho = np.diag([GIBBS_P0, GIBBS_P1]).astype(complex)
-        assert abs(relative_entropy(rho, rho)) < 1e-12
+        rng = np.random.default_rng(37)
+        for d in (2, 3, 5):
+            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            rho = z @ z.conj().T + 0.05 * np.eye(d)
+            rho /= np.trace(rho).real
+            assert abs(relative(rho, rho)) < 1e-12
 
     def test_pure_versus_gibbs(self):
-        sigma = np.diag([GIBBS_P0, GIBBS_P1]).astype(complex)
-        assert abs(relative_entropy(KET0, sigma) - PURE_VS_GIBBS) < 1e-14
-
-    def test_orthogonal_supports(self):
-        with pytest.raises(SupportViolation):
-            relative_entropy(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+        assert abs(relative(KET0, np.diag([GIBBS_P0, GIBBS_P1])) - PURE_VS_GIBBS) < 1e-14
 
     def test_klein_inequality(self):
         rng = np.random.default_rng(41)
@@ -111,7 +121,8 @@ class TestRelativeEntropy:
                 z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                 rho = z @ z.conj().T + 0.05 * np.eye(d)
                 states.append(rho / np.trace(rho).real)
-            value = relative_entropy(states[0], states[1])
+            value = relative(states[0], states[1])
+            assert abs(value - oracle.rel_entropy(states[0], states[1])) < 1e-10
             assert value >= -1e-10
             if np.linalg.norm(states[0] - states[1]) > 1e-8:
                 assert value > 0.0
@@ -120,23 +131,25 @@ class TestRelativeEntropy:
 class TestNonequilibriumEntropy:
     def test_equilibrium_reduces_to_von_neumann(self):
         ts = gibbs_state(H01, 1.0)
-        value = nonequilibrium_entropy(ts.state, ts)
-        assert abs(value - von_neumann_entropy(ts.state)) < 1e-12
+        s_v, s_neq = state_entropies(ts.state, ts)
+        assert abs(s_neq - s_v) < 1e-12
+        assert abs(s_neq - oracle.vn_entropy(ts.state)) < 1e-12
 
     def test_pure_state_against_gibbs(self):
         ts = gibbs_state(H01, 1.0)
-        assert abs(nonequilibrium_entropy(KET0, ts) - PURE_VS_GIBBS) < 1e-14
+        assert abs(state_entropies(KET0, ts)[1] - PURE_VS_GIBBS) < 1e-14
 
     def test_maximally_mixed_reference(self):
         h = Hamiltonian.from_matrix(np.zeros((2, 2)))
         ts = gibbs_state(h, 2.0)
-        value = nonequilibrium_entropy(np.eye(2) / 2.0, ts)
+        value = state_entropies(np.eye(2) / 2.0, ts)[1]
         assert abs(value - np.log(2.0)) < 1e-14
 
     def test_dimension_mismatch(self):
-        ts = gibbs_state(H01, 1.0)
+        # a qubit state against a qutrit reference
+        ts = gibbs_state(Hamiltonian.from_matrix(np.diag([0.0, 1.0, 2.0])), 1.0)
         with pytest.raises(DimensionMismatch):
-            nonequilibrium_entropy(np.eye(3) / 3.0, ts)
+            state_entropies(KET0, ts)
 
     def test_helmholtz_identity(self):
         # -tr[rho log rho_eq] = beta (tr[rho H] - F) for any state rho
@@ -148,22 +161,27 @@ class TestNonequilibriumEntropy:
             z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             rho = z @ z.conj().T
             rho /= np.trace(rho).real
-            lhs = nonequilibrium_entropy(rho, ts)
+            lhs = state_entropies(rho, ts)[1]
             rhs = ts.beta * (float(np.trace(rho @ h.matrix).real) - ts.free_energy)
             assert abs(lhs - rhs) < 1e-10
 
 
 class TestStateEntropies:
     def test_equals_the_single_entropies(self):
+        # S_V and -tr[rho log rho_eq] = S_R(rho || rho_eq) + S_V, each against the oracle
         rng = np.random.default_rng(59)
         for _ in range(20):
             dim = int(rng.integers(2, 7))
-            ts = gibbs_state(random_hamiltonian(dim, int(rng.integers(2**63 - 1))), 1.0)
+            h = random_hamiltonian(dim, int(rng.integers(2**63 - 1)))
+            ts = gibbs_state(h, 1.0)
             z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             rho = z @ z.conj().T
             rho /= np.trace(rho).real
-            expected = (von_neumann_entropy(rho), nonequilibrium_entropy(rho, ts))
-            assert state_entropies(rho, ts) == expected
+            s_v, s_neq = state_entropies(rho, ts)
+            want_v = oracle.vn_entropy(rho)
+            assert abs(s_v - want_v) < 1e-12
+            rel = oracle.rel_entropy(rho, oracle.gibbs_matrix(h.matrix, 1.0))
+            assert abs(s_neq - (rel + want_v)) < 1e-12
 
     @pytest.mark.parametrize("rho, error, message", [
         (np.array([[0.5, 0.1], [0.0, 0.5]]), NotHermitian, "Hermiticity"),
@@ -174,9 +192,6 @@ class TestStateEntropies:
         ts = gibbs_state(H01, 1.0)
         with pytest.raises(error, match=message) as raised:
             state_entropies(rho, ts)
-        assert isinstance(raised.value, FluctLabError)
-        with pytest.raises(error, match=message) as raised:
-            von_neumann_entropy(rho)
         assert isinstance(raised.value, FluctLabError)
 
     def test_dimension_mismatch(self):
@@ -197,6 +212,7 @@ def test_entropies_match_oracle_at_large_dim(dim):
     ts = gibbs_state(h, 1.5)
     rho_eq = oracle.gibbs_matrix(h.matrix, 1.5)
     for rho in (random_density(rng, dim), ts.state):
-        rel = oracle.rel_entropy(rho, rho_eq)
-        assert abs(relative_entropy(rho, rho_eq) - rel) < 1e-12
-        assert abs(nonequilibrium_entropy(rho, ts) - (rel + oracle.vn_entropy(rho))) < 1e-12
+        rel, s_v = oracle.rel_entropy(rho, rho_eq), oracle.vn_entropy(rho)
+        got_v, got_neq = state_entropies(rho, ts)
+        assert abs(got_neq - got_v - rel) < 1e-12
+        assert abs(got_neq - (rel + s_v)) < 1e-12

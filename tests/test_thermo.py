@@ -4,19 +4,17 @@ import json
 import numpy as np
 import pytest
 
+import oracle
 from fluctlab import (
     Hamiltonian,
     Scenario,
     build_report,
-    entropy_change,
-    excess_energy,
     gibbs_state,
     internal_energy_change,
     preset,
     random_channel,
     random_hamiltonian,
     random_scenario,
-    relative_entropy,
     scenario_artifacts,
     validate_channel,
 )
@@ -79,17 +77,23 @@ class TestInternalEnergyChange:
 
 class TestScalarLaws:
     def test_excess_energy_identity_channel(self):
-        assert excess_energy(0.0, 0.0, 1.0) == 0.0
+        report = build_report(Scenario(name="id", dim=2, beta=1.0, h_initial=H01,
+                                       h_final=H01, channel=preset("identity", [], 2)))
+        assert report.excess_energy == 0.0
 
     def test_excess_energy_golden(self):
-        value = excess_energy(GOLDEN["kl"], GOLDEN["x"], 1.0)
-        assert abs(value - GOLDEN["excess_energy"]) < 1e-14
-        # equals delta_u - delta_f
-        assert abs(value - (GOLDEN["delta_u"] - GOLDEN["delta_f"])) < 1e-8
+        report = build_report(golden_scenario())
+        assert abs(report.excess_energy - GOLDEN["excess_energy"]) < 1e-14
+        # K/beta + X, which equals delta_u - delta_f
+        assert report.excess_energy == report.kl / 1.0 + report.x
+        assert abs(report.excess_energy - (GOLDEN["delta_u"] - GOLDEN["delta_f"])) < 1e-8
 
     def test_entropy_change_golden(self):
-        value = entropy_change(GOLDEN["kl"], GOLDEN["x"], 1.0)
-        assert abs(value - GOLDEN["delta_s"]) < 1e-14
+        report = build_report(golden_scenario(beta=2.0))
+        # K + beta X, which equals beta (delta_u - delta_f)
+        assert report.delta_s == report.kl + 2.0 * report.x
+        assert abs(report.delta_s - 2.0 * (report.delta_u - report.delta_f)) < 1e-8
+        assert abs(build_report(golden_scenario()).delta_s - GOLDEN["delta_s"]) < 1e-14
 
     def test_unital_excess_nonnegative(self, unital_artifacts):
         for _, art in unital_artifacts:
@@ -151,7 +155,7 @@ class TestBuildReport:
         report = build_report(Scenario(name="flip", dim=2, beta=1.0,
                                        h_initial=H01, h_final=H01, channel=FLIP))
         rho_out = FLIP.apply(ts.state)
-        s_r = relative_entropy(rho_out, ts.state)
+        s_r = oracle.rel_entropy(rho_out, ts.state)
         assert abs(report.kl - report.delta_s) < 1e-8  # X = 0
         assert abs(report.kl - s_r) < 1e-8
         assert abs(report.delta_s_v) < 1e-10
