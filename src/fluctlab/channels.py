@@ -3,29 +3,36 @@
 Validation, unitality detection, application to density matrices and a
 preset catalog including non-unital cooling channels.
 
-Channels are built and validated as one (n_kraus, d, d) array, kept
-read-only as the channel's ``stack``. Each Kraus pass of a report (the
-action on a state, sum A A^dag and the TPM transition table) has two routes.
-The entry route runs when the operators are monomial (at most one nonzero
-per row and per column: dephasing, depolarizing, amplitude damping, thermal
-attenuation, permutations) and the inputs are in energy bases (a real
-diagonal state; two permutation eigenbases). It sums each row's one entry,
-kept by the ``monomial`` form found on first use, in operator order from
-+0.0: O(n_kraus * d) instead of O(n_kraus * d^3). Otherwise the dense route
-sums the matrix products in order by _kraus_block_sum, a loop's bits except
-at d = 1, which only _tp_sum reaches. The entry table adds the dense terms
-in the same order, so it keeps their bits. The two diagonal sums round each
-complex product as two separate real products, so they can differ in the
-last bit from a BLAS kernel that fuses the two (a complex operator, some
-d); their off-diagonals, and the imaginary part of sum A A^dag, are
-exactly 0.
+A channel from a Kraus list or array (validate_channel, the random and
+unitary presets) is checked and kept as one read-only (n_kraus, d, d)
+array, its ``stack``. The presets whose operators are monomial by
+construction (identity, dephasing, depolarizing, amplitude damping,
+thermal attenuation) are built from each row's one entry, their
+``monomial`` form, in O(n_kraus * d): sum A^dag A is then diagonal, so
+the trace-preservation check reads the entries alone. Their stack is
+built only when a dense route first asks for it.
+
+Each Kraus pass of a report (the action on a state, sum A A^dag and the
+TPM transition table) has two routes. The entry route runs when the
+operators are monomial (at most one nonzero per row and per column; a
+document's Kraus list, permutations included, has its form found on first
+use) and the inputs are in energy bases (a real diagonal state; two
+permutation eigenbases). It sums each row's one entry in operator order
+from +0.0: O(n_kraus * d) instead of O(n_kraus * d^3). Otherwise the dense
+route sums the matrix products in order by _kraus_block_sum, a loop's bits
+except at d = 1, which only _tp_sum reaches. The entry table adds the
+dense terms in the same order, so it keeps their bits. The two diagonal
+sums round each complex product as two separate real products, so they
+can differ in the last bit from a BLAS kernel that fuses the two (a
+complex operator, some d); their off-diagonals, and the imaginary part of
+sum A A^dag, are exactly 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -100,30 +107,32 @@ def _diagonal_sum(terms: np.ndarray) -> np.ndarray:
 class KrausChannel:
     """Validated trace-preserving channel rho -> sum_l A_l rho A_l^dag.
 
-    Built by validate_channel. ``stack`` holds the operators as one
-    read-only (n_kraus, dim, dim) array.
+    Built by validate_channel from the operators, or by a monomial preset
+    from its entries. ``stack`` holds the operators as one read-only
+    (n_kraus, dim, dim) array; ``dense`` builds it on first use.
     """
 
-    stack: np.ndarray
+    n_kraus: int
+    dim: int
+    dense: Callable[[], np.ndarray] = field(repr=False)
     label: str = ""
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        stack = self.dense()
+        stack.flags.writeable = False
+        return stack
 
     @property
     def kraus_ops(self) -> tuple:
         """The operators A_l as (dim, dim) views into the stack."""
         return tuple(self.stack)
 
-    @property
-    def dim(self) -> int:
-        return self.stack.shape[1]
-
-    @property
-    def n_kraus(self) -> int:
-        return self.stack.shape[0]
-
     @cached_property
     def monomial(self) -> MonomialForm | None:
         """Each row's one entry if every operator has at most one nonzero per
-        row and per column, else None. Found on first use, not at validation."""
+        row and per column, else None. Known at construction for a monomial
+        preset; otherwise found on first use, not at validation."""
         s = self.stack
         n, d, _ = s.shape
         nonzero = s != 0
@@ -232,12 +241,49 @@ def _channel(stack: np.ndarray, label: str) -> KrausChannel:
     # deviation, so a passing channel moves any state's trace by <= TP_TOL.
     # Entries of a TP channel are at most 1, so only a failing one overflows.
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = float(np.abs(_tp_sum(stack) - np.eye(d)).sum(axis=1).max())
+        _check_trace_preserving(float(np.abs(_tp_sum(stack) - np.eye(d)).sum(axis=1).max()))
+    return KrausChannel(len(stack), d, lambda: stack, label)
+
+
+def _monomial_channel(cols: np.ndarray, vals: np.ndarray, label: str,
+                      dense: Callable[[], np.ndarray] | None = None) -> KrausChannel:
+    """A preset's channel from its entries A_l[i, cols[l, i]] = vals[l, i], each
+    (n_kraus, d), which every operator's one nonzero per row and per column
+    must hold (zero entries may sit anywhere).
+
+    sum_l A_l^dag A_l is then diagonal, the bincount of |vals|^2 at cols, so
+    trace preservation is checked in O(n_kraus * d). The stack is built by
+    ``dense``, or by scattering the entries into zeros, when a dense route
+    first asks for it.
+    """
+    empty = vals == 0
+    cols[empty], vals[empty] = 0, 0  # MonomialForm's empty row, as detection finds it
+    cols.flags.writeable = vals.flags.writeable = False
+    n, d = cols.shape
+    diag = np.bincount(cols.ravel(), weights=(np.abs(vals) ** 2).ravel(), minlength=d)
+    _check_trace_preserving(float(np.abs(diag - 1.0).max()))
+    form = MonomialForm(cols, vals)
+    channel = KrausChannel(n, d, dense or partial(_scattered, form), label)
+    vars(channel)["monomial"] = form  # known here, so never detected from a stack
+    return channel
+
+
+def _scattered(form: MonomialForm) -> np.ndarray:
+    """The (n_kraus, d, d) stack that holds a monomial form's entries and zeros elsewhere."""
+    n, d = form.cols.shape
+    stack = np.zeros((n, d, d), dtype=complex)
+    op, row = np.indices((n, d))
+    stack[op, row, form.cols] = form.vals
+    return stack
+
+
+def _check_trace_preserving(dev: float) -> None:
+    """Refuse a channel whose sum A^dag A deviates from the identity by more
+    than TP_TOL in its largest absolute row sum (NaN included)."""
     if not dev <= TP_TOL:
         raise NotTracePreserving(
             f"sum A^dag A deviates from identity by {dev:.3e} (tolerance {TP_TOL:.0e})"
         )
-    return KrausChannel(stack=stack, label=label)
 
 
 def unitality_of_sum(kraus_sum: np.ndarray) -> UnitalityCheck:
@@ -314,17 +360,41 @@ def _unitary_mixture(rng: np.random.Generator, dim: int, n_ops: int, tag: str) -
     return _channel(stack, label=f"unitary_mixture({tag}, n_ops={n_ops})")
 
 
-def _weyl_powers(dim: int):
-    """Stacks of the shift powers X^a and the clock powers Z^b, a, b < dim.
+def _clock_powers(dim: int) -> np.ndarray:
+    """The clock powers Z^b, b < dim, of Z = diag(exp(2 pi i k / dim)), as one stack.
 
-    One matrix_power per clock power: exp(2 pi i k b / dim) differs in the last bit.
+    One matrix_power per power: exp(2 pi i k b / dim) differs in the last bit,
+    and the products leave signed zeros off the diagonal.
     """
+    z = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
+    return np.array([np.linalg.matrix_power(z, b) for b in range(dim)])
+
+
+def _dephasing_weights(ops: np.ndarray, p: float) -> np.ndarray:
+    """Scale Z^0 by sqrt(1 - p) and every other clock power by sqrt(p / (dim - 1)),
+    in place: the same products on the stack and on its diagonals."""
+    ops[0] *= np.sqrt(1.0 - p)
+    ops[1:] *= np.sqrt(p / (len(ops) - 1))
+    return ops
+
+
+def _depolarizing_weights(ops: np.ndarray, p: float, identity: np.ndarray | float) -> np.ndarray:
+    """Scale X^a Z^b by sqrt(p) / dim and set operator 0 to a multiple of the
+    identity, in place: the same products on the stack and on its entries."""
+    dim = ops.shape[-1]
+    ops *= np.sqrt(p) / dim
+    ops[0] = np.sqrt(1.0 - p + p / dim**2) * identity
+    return ops
+
+
+def _depolarizing_stack(dim: int, p: float) -> np.ndarray:
+    """The depolarizing operators as dense products X^a Z^b (operator a * dim + b),
+    whose signed zeros off the entries a scatter would not reproduce."""
     k = np.arange(dim)
     shifts = np.zeros((dim, dim, dim), dtype=complex)
     shifts[k[:, np.newaxis], (k + k[:, np.newaxis]) % dim, k] = 1.0
-    z = np.diag(np.exp(2j * np.pi * k / dim))
-    clocks = np.array([np.linalg.matrix_power(z, b) for b in range(dim)])
-    return shifts, clocks
+    ops = (shifts[:, np.newaxis] @ _clock_powers(dim)).reshape(dim * dim, dim, dim)
+    return _depolarizing_weights(ops, p, np.eye(dim, dtype=complex))
 
 
 # each preset's parameters as (name, low, high, integer)
@@ -377,10 +447,9 @@ def preset(name: str, params: Sequence[float] = (), dim: int = 2) -> KrausChanne
     params = _checked_params(name, params)
     if dim < 1:
         raise ParamOutOfRange(f"dimension must be >= 1, got {dim}")
-    eye = np.eye(dim, dtype=complex)
-
     if name == "identity":
-        return _channel(eye[np.newaxis], label="identity")
+        return _monomial_channel(np.arange(dim)[np.newaxis], np.ones((1, dim), dtype=complex),
+                                 label="identity")
 
     if name == "unitary":
         (seed,) = params
@@ -390,28 +459,35 @@ def preset(name: str, params: Sequence[float] = (), dim: int = 2) -> KrausChanne
         (p,) = params
         if dim < 2:
             raise ParamOutOfRange("dephasing needs dim >= 2")
-        _, ops = _weyl_powers(dim)
-        ops[0] *= np.sqrt(1.0 - p)
-        ops[1:] *= np.sqrt(p / (dim - 1))
-        return _channel(ops, label=f"dephasing(p={p})")
+        # operator b is a multiple of Z^b
+        phases = np.diagonal(_clock_powers(dim), axis1=1, axis2=2).copy()
+        return _monomial_channel(np.tile(np.arange(dim), (dim, 1)), _dephasing_weights(phases, p),
+                                 label=f"dephasing(p={p})",
+                                 dense=lambda: _dephasing_weights(_clock_powers(dim), p))
 
     if name == "depolarizing":
         (p,) = params
-        x, z = _weyl_powers(dim)
-        # operator a * dim + b is X^a Z^b
-        ops = (x[:, np.newaxis] @ z).reshape(dim * dim, dim, dim)
-        ops *= np.sqrt(p) / dim
-        ops[0] = np.sqrt(1.0 - p + p / dim**2) * eye
-        return _channel(ops, label=f"depolarizing(p={p})")
+        # operator a * dim + b is a multiple of X^a Z^b, whose row i holds the
+        # phase Z^b[j, j] at j = i - a (mod dim)
+        k = np.arange(dim)
+        shift_cols = (k - k[:, np.newaxis]) % dim  # [a, i] -> j
+        phases = np.diagonal(_clock_powers(dim), axis1=1, axis2=2)
+        vals = phases[:, shift_cols].swapaxes(0, 1).reshape(dim * dim, dim)
+        return _monomial_channel(np.repeat(shift_cols, dim, axis=0),
+                                 _depolarizing_weights(vals, p, 1.0),
+                                 label=f"depolarizing(p={p})",
+                                 dense=lambda: _depolarizing_stack(dim, p))
 
     if name == "amplitude_damping":
         (p,) = params
-        ops = np.zeros((dim, dim, dim), dtype=complex)
-        ops[0] = eye
-        ops[0, 1:, 1:] *= np.sqrt(1.0 - p)
-        k = np.arange(1, dim)
-        ops[k, 0, k] = np.sqrt(p)
-        return _channel(ops, label=f"amplitude_damping(p={p})")
+        # operator 0 is diag(1, sqrt(1 - p), ...); operator k >= 1 moves level k to 0
+        k = np.arange(dim)
+        cols = np.zeros((dim, dim), dtype=k.dtype)
+        cols[0], cols[1:, 0] = k, k[1:]
+        vals = np.zeros((dim, dim), dtype=complex)
+        vals[0], vals[1:, 0] = np.sqrt(1.0 - p), np.sqrt(p)
+        vals[0, 0] = 1.0
+        return _monomial_channel(cols, vals, label=f"amplitude_damping(p={p})")
 
     if name == "thermal_attenuator":
         p, nbar = params
@@ -421,13 +497,11 @@ def preset(name: str, params: Sequence[float] = (), dim: int = 2) -> KrausChanne
         q = nbar / (2.0 * nbar + 1.0)
         down = np.sqrt(1.0 - q)
         up = np.sqrt(q)
-        ops = [
-            down * np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=complex),
-            down * np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex),
-            up * np.array([[np.sqrt(1.0 - p), 0.0], [0.0, 1.0]], dtype=complex),
-            up * np.array([[0.0, 0.0], [np.sqrt(p), 0.0]], dtype=complex),
-        ]
-        return validate_channel(ops, label=f"thermal_attenuator(p={p}, nbar={nbar})")
+        # down diag(1, sqrt(1 - p)), down sqrt(p) |0><1|, up diag(sqrt(1 - p), 1), up sqrt(p) |1><0|
+        cols = np.array([[0, 1], [1, 0], [0, 1], [0, 0]])
+        vals = np.array([[down, down * np.sqrt(1.0 - p)], [down * np.sqrt(p), 0.0],
+                         [up * np.sqrt(1.0 - p), up], [0.0, up * np.sqrt(p)]], dtype=complex)
+        return _monomial_channel(cols, vals, label=f"thermal_attenuator(p={p}, nbar={nbar})")
 
     seed, n_kraus = params  # random
     return random_channel(dim, n_kraus, seed)

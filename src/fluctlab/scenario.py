@@ -257,8 +257,11 @@ def random_hamiltonian(dim: int, seed: int) -> Hamiltonian:
     """Random Hermitian with eigenvalues uniform in [0, 1] and Haar eigenvectors.
 
     With the spectral range below 1, beta bounds every thermal exponent
-    beta (E - E_min) of the state; the identities hold at any beta > 0,
-    since the distributions carry exact log masses.
+    beta (E - E_min) of the state. The distributions carry exact log masses,
+    so underflowing populations break no identity, but rounding leaves a
+    floor of about 1e-15 * beta * span on the residuals (span: the sum of
+    both spectral ranges), which reaches the 1e-8 tolerance near beta = 1e8
+    (ROADMAP item 7).
     """
     return _random_hamiltonians(np.random.default_rng(int(seed)), dim, 1)[0]
 

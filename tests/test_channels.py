@@ -1,5 +1,7 @@
 import hashlib
 import os
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from fluctlab import (
     NotTracePreserving,
     ParamOutOfRange,
     UnknownPreset,
+    build_report,
     exp_average,
     gibbs_state,
     haar_isometry,
@@ -19,6 +22,7 @@ from fluctlab import (
     preset,
     random_channel,
     random_hamiltonian,
+    scenario_from_dict,
     tpm_distributions,
     unitary_mixture,
     validate_channel,
@@ -30,6 +34,10 @@ AMP_DAMP_OPS = [np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
                 np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)]
 DEPHASE_OPS = [np.sqrt(0.5) * np.eye(2, dtype=complex),
                np.sqrt(0.5) * np.diag([1.0, -1.0]).astype(complex)]
+
+# the presets built from their entries, each with its monomial form
+MONOMIAL_PRESETS = ("identity", "dephasing", "depolarizing", "amplitude_damping",
+                    "thermal_attenuator")
 
 
 def ladder(dim, top=1.0):
@@ -235,7 +243,9 @@ class TestStackedSums:
     @pytest.mark.parametrize("name", sorted(MONOMIAL))
     def test_monomial_operators_match_operator_loop(self, name):
         c = self.MONOMIAL[name]()
-        assert "monomial" not in vars(c)  # found on first use, not at validation
+        # a preset is built from its form; a Kraus list has it found on first
+        # use, not at validation
+        assert ("monomial" in vars(c)) == (name in MONOMIAL_PRESETS)
         form = c.monomial
         assert form.cols.shape == form.vals.shape == (c.n_kraus, c.dim)
         rebuilt = np.zeros_like(c.stack)
@@ -641,3 +651,69 @@ class TestArrayBuiltChannels:
                               "amplitude_damping_golden.json")
         assert cli.main(["run", golden, "--out", str(tmp_path), "--quiet"]) == 0
         assert calls == [2]
+
+
+class TestMonomialPresets:
+    """The presets built from their entries: each form is the one detection
+    finds in the preset's stack, and the stack is built only for a dense route."""
+
+    CASES = [("identity", [], dim) for dim in (1, 2, 3, 5, 16, 24)] + [
+        (name, [p], dim)
+        for name in ("dephasing", "depolarizing", "amplitude_damping")
+        for dim in (1, 2, 3, 5, 16, 24)
+        for p in (0.0, 0.05, 0.3, 1.0)
+        if name != "dephasing" or dim > 1
+    ] + [("thermal_attenuator", [p, nbar], 2) for p, nbar in ((0.0, 0.0), (0.5, 0.3), (1.0, 2.0))]
+
+    @pytest.mark.parametrize("name,params,dim", CASES)
+    def test_form_is_the_detected_form(self, name, params, dim):
+        c = preset(name, params, dim)
+        form = c.monomial
+        assert c.dim == dim and c.n_kraus == len(form.cols)
+        assert "stack" not in vars(c)  # dim, n_kraus and the form never build it
+        assert not c.stack.flags.writeable
+        # detection on a stack built like a document's Kraus list
+        detected = validate_channel(c.stack).monomial
+        for got, want in zip(form, detected):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_entries_are_checked_for_trace_preservation(self):
+        # sum A^dag A = diag(0.25, 0.25), as for validate_channel([diag(0.5, 0.5)])
+        with pytest.raises(NotTracePreserving) as err:
+            channels._monomial_channel(np.array([[0, 1]]), np.array([[0.5, 0.5]], dtype=complex),
+                                       label="half")
+        assert "7.500e-01" in str(err.value)
+
+    @staticmethod
+    def ladder_document(dim):
+        energies = np.linspace(0.0, 1.0, dim)
+        return {"name": "ladder", "dim": dim, "beta": 1.0,
+                "h_initial": {"diag": [float(e) for e in energies]},
+                "h_final": {"diag": [float(e) for e in 2.0 * energies[::-1]]},
+                "channel": {"preset": "depolarizing", "params": [0.3]}, "seed": 0}
+
+    def test_entry_route_never_builds_the_stack(self):
+        sc = scenario_from_dict(self.ladder_document(24))
+        report = build_report(sc)
+        assert "stack" not in vars(sc.channel)
+        # the same operators as a Kraus list, whose form detection finds
+        listed = validate_channel(preset("depolarizing", [0.3], 24).stack)
+        want = build_report(replace(sc, channel=listed))
+        assert repr(report.as_dict()).encode() == repr(want.as_dict()).encode()
+
+    def test_domain_edge_memory(self):
+        # depolarizing at dim 64 has channels.MAX_KRAUS operators; its dense
+        # stack alone is 268 MB. The 50 MB bound was fixed before the presets
+        # were built from their entries, when the build traced 91 MB at dim 48.
+        sc = scenario_from_dict(self.ladder_document(64))  # parses the preset too
+        tracemalloc.start()
+        try:
+            c = preset("depolarizing", [0.3], 64)
+            report = build_report(replace(sc, channel=c))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.n_kraus == channels.MAX_KRAUS and "stack" not in vars(c)
+        assert report.max_residual() < 1e-8
+        assert peak < 50e6
