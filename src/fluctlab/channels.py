@@ -10,7 +10,8 @@ construction (identity, dephasing, depolarizing, amplitude damping,
 thermal attenuation) are built from each row's one entry, their
 ``monomial`` form, in O(n_kraus * d): sum A^dag A is then diagonal, so
 the trace-preservation check reads the entries alone. Their stack is
-built only when a dense route first asks for it.
+built only when a dense route first asks for it, except dephasing's: its
+entries are read off its weighted clock products, which it keeps.
 
 Each Kraus pass of a report (the action on a state, sum A A^dag and the
 TPM transition table) has two routes. The entry route runs when the
@@ -370,14 +371,6 @@ def _clock_powers(dim: int) -> np.ndarray:
     return np.array([np.linalg.matrix_power(z, b) for b in range(dim)])
 
 
-def _dephasing_weights(ops: np.ndarray, p: float) -> np.ndarray:
-    """Scale Z^0 by sqrt(1 - p) and every other clock power by sqrt(p / (dim - 1)),
-    in place: the same products on the stack and on its diagonals."""
-    ops[0] *= np.sqrt(1.0 - p)
-    ops[1:] *= np.sqrt(p / (len(ops) - 1))
-    return ops
-
-
 def _depolarizing_weights(ops: np.ndarray, p: float, identity: np.ndarray | float) -> np.ndarray:
     """Scale X^a Z^b by sqrt(p) / dim and set operator 0 to a multiple of the
     identity, in place: the same products on the stack and on its entries."""
@@ -397,7 +390,8 @@ def _depolarizing_stack(dim: int, p: float) -> np.ndarray:
     return _depolarizing_weights(ops, p, np.eye(dim, dtype=complex))
 
 
-# each preset's parameters as (name, low, high, integer)
+# each preset's parameters as (name, low, high, integer), the one description
+# of them: documents may leave out a leading _SEED, and channel.p sweeps a leading _P
 _P, _SEED = ("p", 0, 1, False), ("seed", 0, math.inf, True)
 _PRESET_PARAMS = {
     "identity": (), "unitary": (_SEED,), "dephasing": (_P,), "depolarizing": (_P,),
@@ -459,11 +453,13 @@ def preset(name: str, params: Sequence[float] = (), dim: int = 2) -> KrausChanne
         (p,) = params
         if dim < 2:
             raise ParamOutOfRange("dephasing needs dim >= 2")
-        # operator b is a multiple of Z^b
-        phases = np.diagonal(_clock_powers(dim), axis1=1, axis2=2).copy()
-        return _monomial_channel(np.tile(np.arange(dim), (dim, 1)), _dephasing_weights(phases, p),
-                                 label=f"dephasing(p={p})",
-                                 dense=lambda: _dephasing_weights(_clock_powers(dim), p))
+        # operator b is a multiple of Z^b: one product stack, its diagonals the entries
+        ops = _clock_powers(dim)
+        ops[0] *= np.sqrt(1.0 - p)
+        ops[1:] *= np.sqrt(p / (dim - 1))
+        return _monomial_channel(np.tile(np.arange(dim), (dim, 1)),
+                                 np.diagonal(ops, axis1=1, axis2=2).copy(),
+                                 label=f"dephasing(p={p})", dense=lambda: ops)
 
     if name == "depolarizing":
         (p,) = params

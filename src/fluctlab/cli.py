@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import replace
 
+from .channels import _P, _PRESET_PARAMS
 from .distributions import write_distribution_csv
 from .errors import FluctLabError, ScenarioError, UnknownParam
 from .scenario import (
@@ -40,7 +41,7 @@ from .thermo import (
     residual_verdicts,
 )
 
-SWEEPABLE_PRESETS = ("dephasing", "depolarizing", "amplitude_damping", "thermal_attenuator")
+SWEEPABLE_PRESETS = tuple(name for name, kinds in _PRESET_PARAMS.items() if kinds[:1] == (_P,))
 
 # the report fields of a batch.csv row, after seed, dim and unital and before max_residual
 BATCH_FIELDS = ("gamma", "x", "kl", "delta_u", "delta_s")

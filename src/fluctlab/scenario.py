@@ -17,6 +17,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .channels import (
+    _PRESET_PARAMS,
+    _SEED,
     MAX_KRAUS,
     KrausChannel,
     _haar_isometries,
@@ -34,10 +36,6 @@ DEFAULT_RESIDUAL_TOL = 1e-8
 # batch campaigns: the documented domain (dim <= 64) and a bounded seed count
 MAX_DIM = 64
 MAX_COUNT = 10**6
-
-# presets whose first documented parameter is a seed that scenario files
-# may omit (the scenario's own seed is injected)
-_SEEDED_PRESETS = {"unitary": 1, "random": 2}
 
 
 @dataclass(frozen=True)
@@ -165,9 +163,9 @@ def _parse_matrix(obj, context: str) -> np.ndarray:
 def parse_channel(obj, dim: int, seed: int) -> KrausChannel:
     """Channel from a preset spec or an explicit Kraus list.
 
-    Preset form: {"preset": name, "params": [...]}. For the seeded presets
-    (unitary, random) the leading seed parameter may be omitted, in which
-    case the scenario seed is used.
+    Preset form: {"preset": name, "params": [...]}. A leading seed kind may
+    be left out of params (the scenario seed is used); seed and count kinds
+    are read as exact ints, the others as floats.
     """
     if not isinstance(obj, dict):
         raise ScenarioError("channel: expected an object with 'preset' or 'kraus'")
@@ -181,11 +179,16 @@ def parse_channel(obj, dim: int, seed: int) -> KrausChannel:
         name = obj["preset"]
         if not isinstance(name, str):
             raise ScenarioError(f"channel.preset: expected a preset name, got {name!r}")
-        params = _numbers(obj.get("params", []), "channel.params")
-        want = _SEEDED_PRESETS.get(name)
-        if want is not None and len(params) == want - 1:
-            params = [seed] + params
-        return preset(name, params, dim)
+        values = obj.get("params", [])
+        if not isinstance(values, list):
+            raise ScenarioError(f"channel.params: expected a list of numbers, got {values!r}")
+        kinds = _PRESET_PARAMS.get(name, ())
+        omitted = kinds[:1] == (_SEED,) and len(values) == len(kinds) - 1
+        # values beyond the preset's kinds are floats, refused by its arity check
+        integer = [kind[3] for kind in kinds[omitted:]] + [False] * len(values)
+        params = [number(v, f"channel.params[{i}]", integer=integer[i])
+                  for i, v in enumerate(values)]
+        return preset(name, [seed] * omitted + params, dim)
     raise ScenarioError("channel: needs either a 'preset' or a 'kraus' key")
 
 

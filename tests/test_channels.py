@@ -603,8 +603,10 @@ class TestArrayBuiltChannels:
         random_channel(3, 4, 5)
         assert calls == [(4, 3, 3)]
 
-    @pytest.mark.parametrize("name", ["dephasing", "depolarizing"])
-    def test_matrix_power_calls_at_most_dim(self, monkeypatch, name):
+    @pytest.mark.parametrize("name,stack", [("dephasing", False), ("depolarizing", False),
+                                            ("dephasing", True)],
+                             ids=["dephasing", "depolarizing", "dephasing-stack"])
+    def test_matrix_power_calls_at_most_dim(self, monkeypatch, name, stack):
         matrix_power = np.linalg.matrix_power
         calls = []
 
@@ -613,7 +615,9 @@ class TestArrayBuiltChannels:
             return matrix_power(a, n)
 
         monkeypatch.setattr(channels.np.linalg, "matrix_power", counted)
-        preset(name, [0.3], 7)
+        c = preset(name, [0.3], 7)
+        if stack:  # the dense stack comes from the products the entries were read off
+            c.stack
         assert 0 < len(calls) <= 7
 
     @pytest.mark.parametrize("ops,error", [

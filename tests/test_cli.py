@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fluctlab import Hamiltonian, gibbs_state
+from fluctlab.channels import _P, _PRESET_PARAMS
 from fluctlab.cli import main
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -176,6 +177,19 @@ class TestSweep:
         gammas = [float(line.split(",")[g_col]) for line in lines[1:]]
         assert abs(gammas[0] - 1.0) < 1e-12
         assert gammas[0] < gammas[1] < gammas[2]
+
+    # dim 2 is the smallest scenario dim, and every preset builds at it
+    @pytest.mark.parametrize("name", [n for n, kinds in _PRESET_PARAMS.items()
+                                      if kinds[:1] == (_P,)])
+    def test_channel_p_sweeps_every_probability_preset(self, tmp_path, name):
+        params = [min(high, low + 2) for _, low, high, _ in _PRESET_PARAMS[name]]
+        path = write_scenario(tmp_path / "s.json",
+                              base_doc(channel={"preset": name, "params": params}))
+        out = tmp_path / "o"
+        code = main(["sweep", path, "--param", "channel.p", "--values", "0.2,0.8",
+                     "--out", str(out), "--quiet"])
+        assert code == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 3
 
     def test_empty_values(self, tmp_path, capsys):
         code = main(["sweep", GOLDEN_FILE, "--param", "beta", "--values", "",

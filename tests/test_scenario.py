@@ -3,8 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from fluctlab import ScenarioError, random_scenario, scenario
-from fluctlab.scenario import parse_matrix
+from fluctlab import ScenarioError, preset, random_scenario, scenario, scenario_from_dict
+from fluctlab.channels import _PRESET_PARAMS, _SEED
+from fluctlab.scenario import parse_channel, parse_matrix
 from conftest import mixed_scenario, unital_scenario
 
 NAN, INF = float("nan"), float("inf")
@@ -114,3 +115,25 @@ def test_random_scenario_is_reproducible(seed, unital):
 
 def test_unital_scenarios_keep_gamma_one(unital_artifacts):
     assert max(abs(a.report.gamma - 1.0) for _, a in unital_artifacts) <= 1e-10
+
+
+# seeds beyond 2^53, which a float would round
+@pytest.mark.parametrize("name,params", [("unitary", [2**53 + 1]), ("random", [2**63 - 2, 3])])
+def test_document_preset_seeds_stay_exact(name, params):
+    parsed, built = parse_channel({"preset": name, "params": params}, 3, 0), preset(name, params, 3)
+    assert parsed.label == built.label
+    assert parsed.stack.tobytes() == built.stack.tobytes()
+
+
+@pytest.mark.parametrize("name", [n for n, kinds in _PRESET_PARAMS.items()
+                                  if kinds[:1] == (_SEED,)])
+@pytest.mark.parametrize("seed", [0, 7, 2**53 + 1, 2**63 - 2])
+def test_omitted_preset_seed_is_the_scenario_seed(name, seed):
+    rest = [min(high, low + 2) for _, low, high, _ in _PRESET_PARAMS[name][1:]]
+    omitted, written = (
+        scenario_from_dict({"dim": 3, "beta": 1.0, "seed": seed, "h_initial": {"diag": [0, 1, 2]},
+                            "h_final": {"diag": [0, 1, 2]},
+                            "channel": {"preset": name, "params": params}}).channel
+        for params in (rest, [seed] + rest))
+    assert omitted.label == written.label
+    assert omitted.stack.tobytes() == written.stack.tobytes()
