@@ -10,8 +10,7 @@ construction (identity, dephasing, depolarizing, amplitude damping,
 thermal attenuation) are built from each row's one entry, their
 ``monomial`` form, in O(n_kraus * d): sum A^dag A is then diagonal, so
 the trace-preservation check reads the entries alone. Their stack is
-built only when a dense route first asks for it, except dephasing's: its
-entries are read off its weighted clock products, which it keeps.
+scattered from the entries only when a dense route first asks for it.
 
 Each Kraus pass of a report (the action on a state, sum A A^dag and the
 TPM transition table) has two routes. The entry route runs when the
@@ -246,16 +245,14 @@ def _channel(stack: np.ndarray, label: str) -> KrausChannel:
     return KrausChannel(len(stack), d, lambda: stack, label)
 
 
-def _monomial_channel(cols: np.ndarray, vals: np.ndarray, label: str,
-                      dense: Callable[[], np.ndarray] | None = None) -> KrausChannel:
+def _monomial_channel(cols: np.ndarray, vals: np.ndarray, label: str) -> KrausChannel:
     """A preset's channel from its entries A_l[i, cols[l, i]] = vals[l, i], each
     (n_kraus, d), which every operator's one nonzero per row and per column
     must hold (zero entries may sit anywhere).
 
     sum_l A_l^dag A_l is then diagonal, the bincount of |vals|^2 at cols, so
     trace preservation is checked in O(n_kraus * d). The stack is built by
-    ``dense``, or by scattering the entries into zeros, when a dense route
-    first asks for it.
+    scattering the entries into zeros when a dense route first asks for it.
     """
     empty = vals == 0
     cols[empty], vals[empty] = 0, 0  # MonomialForm's empty row, as detection finds it
@@ -264,7 +261,7 @@ def _monomial_channel(cols: np.ndarray, vals: np.ndarray, label: str,
     diag = np.bincount(cols.ravel(), weights=(np.abs(vals) ** 2).ravel(), minlength=d)
     _check_trace_preserving(float(np.abs(diag - 1.0).max()))
     form = MonomialForm(cols, vals)
-    channel = KrausChannel(n, d, dense or partial(_scattered, form), label)
+    channel = KrausChannel(n, d, partial(_scattered, form), label)
     vars(channel)["monomial"] = form  # known here, so never detected from a stack
     return channel
 
@@ -362,32 +359,11 @@ def _unitary_mixture(rng: np.random.Generator, dim: int, n_ops: int, tag: str) -
 
 
 def _clock_powers(dim: int) -> np.ndarray:
-    """The clock powers Z^b, b < dim, of Z = diag(exp(2 pi i k / dim)), as one stack.
-
-    One matrix_power per power: exp(2 pi i k b / dim) differs in the last bit,
-    and the products leave signed zeros off the diagonal.
-    """
+    """The diagonals of the clock powers Z^b, b < dim, of Z = diag(exp(2 pi i k / dim)):
+    row b holds Z^b[k, k]. One matrix_power per power: the direct exp(2 pi i k b / dim)
+    differs from its diagonal in the last bit."""
     z = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
-    return np.array([np.linalg.matrix_power(z, b) for b in range(dim)])
-
-
-def _depolarizing_weights(ops: np.ndarray, p: float, identity: np.ndarray | float) -> np.ndarray:
-    """Scale X^a Z^b by sqrt(p) / dim and set operator 0 to a multiple of the
-    identity, in place: the same products on the stack and on its entries."""
-    dim = ops.shape[-1]
-    ops *= np.sqrt(p) / dim
-    ops[0] = np.sqrt(1.0 - p + p / dim**2) * identity
-    return ops
-
-
-def _depolarizing_stack(dim: int, p: float) -> np.ndarray:
-    """The depolarizing operators as dense products X^a Z^b (operator a * dim + b),
-    whose signed zeros off the entries a scatter would not reproduce."""
-    k = np.arange(dim)
-    shifts = np.zeros((dim, dim, dim), dtype=complex)
-    shifts[k[:, np.newaxis], (k + k[:, np.newaxis]) % dim, k] = 1.0
-    ops = (shifts[:, np.newaxis] @ _clock_powers(dim)).reshape(dim * dim, dim, dim)
-    return _depolarizing_weights(ops, p, np.eye(dim, dtype=complex))
+    return np.array([np.diagonal(np.linalg.matrix_power(z, b)) for b in range(dim)])
 
 
 # each preset's parameters as (name, low, high, integer), the one description
@@ -453,13 +429,12 @@ def preset(name: str, params: Sequence[float] = (), dim: int = 2) -> KrausChanne
         (p,) = params
         if dim < 2:
             raise ParamOutOfRange("dephasing needs dim >= 2")
-        # operator b is a multiple of Z^b: one product stack, its diagonals the entries
-        ops = _clock_powers(dim)
-        ops[0] *= np.sqrt(1.0 - p)
-        ops[1:] *= np.sqrt(p / (dim - 1))
-        return _monomial_channel(np.tile(np.arange(dim), (dim, 1)),
-                                 np.diagonal(ops, axis1=1, axis2=2).copy(),
-                                 label=f"dephasing(p={p})", dense=lambda: ops)
+        # operator b is a multiple of Z^b, whose entries are its diagonal
+        vals = _clock_powers(dim)
+        vals[0] *= np.sqrt(1.0 - p)
+        vals[1:] *= np.sqrt(p / (dim - 1))
+        return _monomial_channel(np.tile(np.arange(dim), (dim, 1)), vals,
+                                 label=f"dephasing(p={p})")
 
     if name == "depolarizing":
         (p,) = params
@@ -467,12 +442,11 @@ def preset(name: str, params: Sequence[float] = (), dim: int = 2) -> KrausChanne
         # phase Z^b[j, j] at j = i - a (mod dim)
         k = np.arange(dim)
         shift_cols = (k - k[:, np.newaxis]) % dim  # [a, i] -> j
-        phases = np.diagonal(_clock_powers(dim), axis1=1, axis2=2)
-        vals = phases[:, shift_cols].swapaxes(0, 1).reshape(dim * dim, dim)
-        return _monomial_channel(np.repeat(shift_cols, dim, axis=0),
-                                 _depolarizing_weights(vals, p, 1.0),
-                                 label=f"depolarizing(p={p})",
-                                 dense=lambda: _depolarizing_stack(dim, p))
+        vals = _clock_powers(dim)[:, shift_cols].swapaxes(0, 1).reshape(dim * dim, dim)
+        vals *= np.sqrt(p) / dim
+        vals[0] = np.sqrt(1.0 - p + p / dim**2)  # operator 0 is a multiple of the identity
+        return _monomial_channel(np.repeat(shift_cols, dim, axis=0), vals,
+                                 label=f"depolarizing(p={p})")
 
     if name == "amplitude_damping":
         (p,) = params

@@ -123,7 +123,7 @@ def _sweep_scenarios(base: Scenario, param: str, values: list) -> list:
     if not values:
         raise UnknownParam("sweep needs a non-empty list of values")
     if param == "beta":
-        return [base.with_beta(number(v, "--values", positive=True)) for v in values]
+        return [replace(base, beta=number(v, "--values", positive=True)) for v in values]
     if param == "channel.p":
         spec = base.channel_spec
         if not spec or spec.get("preset") not in SWEEPABLE_PRESETS:

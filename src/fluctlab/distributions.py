@@ -46,7 +46,6 @@ class EnergyDistribution:
 
     delta_u: np.ndarray
     log_mass: np.ndarray
-    bin_tolerance: float
 
     @property
     def mass(self) -> np.ndarray:
@@ -120,8 +119,8 @@ def tpm_distributions(c: KrausChannel, init_eq: ThermalState, final_eq: ThermalS
     gaps = np.subtract.outer(h_f.energies, h_i.energies).ravel()
     tol = default_bin_tolerance(h_i, h_f, bin_tol_scale)
     positions, log_masses = _bin_atoms(gaps, log_weights, tol)
-    return (EnergyDistribution(positions[:, 0], log_masses[:, 0], tol),
-            EnergyDistribution(positions[:, 1], log_masses[:, 1], tol))
+    return (EnergyDistribution(positions[:, 0], log_masses[:, 0]),
+            EnergyDistribution(positions[:, 1], log_masses[:, 1]))
 
 
 def gamma_of_sum(kraus_sum: np.ndarray, final_eq: ThermalState) -> float:

@@ -11,7 +11,7 @@ complex entries appear as [re, im] pairs and Hamiltonians may use a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -50,9 +50,6 @@ class Scenario:
     identity_rtol: float = DEFAULT_RESIDUAL_TOL
     bin_tol_scale: float = 1.0
     channel_spec: Optional[dict] = None
-
-    def with_beta(self, beta: float) -> "Scenario":
-        return replace(self, beta=float(beta))
 
 
 @dataclass(frozen=True)

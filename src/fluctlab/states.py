@@ -96,7 +96,6 @@ class ThermalState:
     state: np.ndarray
     populations: np.ndarray
     log_populations: np.ndarray
-    partition_function: float
     free_energy: float
 
     @property
@@ -115,8 +114,6 @@ def gibbs_state(h: Hamiltonian, beta: float) -> ThermalState:
     norm = float(weights.sum())
     pops = weights / norm
     log_pops = shifted - np.log(norm)
-    with np.errstate(over="ignore"):  # Z is inf beyond the float range; F is shifted
-        z = norm * float(np.exp(-beta * e[0]))
     f = float(e[0] - np.log(norm) / beta)
     v = h.spectrum.eigenvectors
     state = (v * pops) @ v.conj().T
@@ -127,7 +124,6 @@ def gibbs_state(h: Hamiltonian, beta: float) -> ThermalState:
         state=state,
         populations=pops,
         log_populations=log_pops,
-        partition_function=z,
         free_energy=f,
     )
 

@@ -125,7 +125,6 @@ class TestHugeFiniteValues:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ts = gibbs_state(Hamiltonian.from_matrix(np.diag([-1000.0, 0.0])), 1.0)
-        assert ts.partition_function == np.inf
         assert ts.free_energy == -1000.0
 
     @staticmethod

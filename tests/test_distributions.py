@@ -25,7 +25,7 @@ from fluctlab import (
     validate_channel,
     write_distribution_csv,
 )
-from fluctlab.distributions import gamma_of_sum
+from fluctlab.distributions import default_bin_tolerance, gamma_of_sum
 
 # frozen against the brute-force TPM enumeration oracle (tests/oracle.py)
 P0 = 0.7310585786300049
@@ -55,11 +55,11 @@ def assert_atoms(dist, expected, atol=1e-12):
         assert abs(x - ex) < atol and abs(m - em) < atol
 
 
-def make_dist(atoms, tol=1e-9):
+def make_dist(atoms):
     xs = np.array([a[0] for a in atoms], dtype=float)
     with np.errstate(divide="ignore"):
         log_ms = np.log(np.array([a[1] for a in atoms], dtype=float))
-    return EnergyDistribution(delta_u=xs, log_mass=log_ms, bin_tolerance=tol)
+    return EnergyDistribution(delta_u=xs, log_mass=log_ms)
 
 
 class TestForwardDistribution:
@@ -259,19 +259,19 @@ class TestKl:
 
 class TestSupportsAndBinning:
     def test_supports_coincide_atom_for_atom(self, mixed_artifacts):
-        for _, art in mixed_artifacts:
+        for s, art in mixed_artifacts:
             pf, pb = art.forward, art.backward
             assert pf.n_atoms == pb.n_atoms
-            np.testing.assert_allclose(pf.delta_u, pb.delta_u,
-                                       atol=10 * pf.bin_tolerance)
+            tol = default_bin_tolerance(s.h_initial, s.h_final, s.bin_tol_scale)
+            np.testing.assert_allclose(pf.delta_u, pb.delta_u, atol=10 * tol)
             # exact support: an atom has no mass on one side iff on the other
             assert np.array_equal(np.isneginf(pf.log_mass), np.isneginf(pb.log_mass))
 
     def test_atoms_sorted_and_separated(self, mixed_artifacts):
-        for _, art in mixed_artifacts:
+        for s, art in mixed_artifacts:
             pf = art.forward
             gaps = np.diff(pf.delta_u)
-            assert np.all(gaps > pf.bin_tolerance)
+            assert np.all(gaps > default_bin_tolerance(s.h_initial, s.h_final, s.bin_tol_scale))
             assert np.all(pf.mass >= 0.0)
 
     def test_degenerate_basis_invariance(self):
@@ -311,14 +311,15 @@ class TestOracleCrossCheck:
                                        gibbs_state(scenario.h_final, scenario.beta))
         args = ([np.asarray(a) for a in scenario.channel.kraus_ops],
                 scenario.h_initial.matrix, scenario.h_final.matrix, scenario.beta)
-        want_f = oracle.forward_atoms(*args, tol=pf.bin_tolerance)
-        want_b = oracle.backward_atoms(*args, tol=pf.bin_tolerance)
+        tol = default_bin_tolerance(scenario.h_initial, scenario.h_final)
+        want_f = oracle.forward_atoms(*args, tol=tol)
+        want_b = oracle.backward_atoms(*args, tol=tol)
         for got, want in ((pf, want_f), (pb_raw, want_b)):
             assert got.n_atoms == len(want)
             np.testing.assert_allclose(got.delta_u, [x for x, _ in want], rtol=0, atol=1e-12)
             np.testing.assert_allclose(got.mass, [w for _, w in want], rtol=0, atol=1e-12)
         kl = kl_divergence(pf, renormalize_backward(pb_raw))
-        assert abs(kl - oracle.kl_from_atoms(want_f, want_b, tol=pf.bin_tolerance)) < 1e-12
+        assert abs(kl - oracle.kl_from_atoms(want_f, want_b, tol=tol)) < 1e-12
 
 
 # a mass of -0.0 has no logarithm, so masses are non-negative here

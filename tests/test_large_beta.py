@@ -7,6 +7,7 @@ residual degrades as beta grows.
 
 import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ def test_readme_cooling_scenario(beta):
 @pytest.mark.parametrize("scenario", degenerate_scenarios(), ids=lambda s: s.name)
 def test_degenerate_bins_at_beta_800(scenario):
     # bins with several members whose linear masses are all subnormal or zero
-    scenario = scenario.with_beta(800.0)
+    scenario = replace(scenario, beta=800.0)
     pf, pb_raw = tpm_distributions(scenario.channel,
                                    gibbs_state(scenario.h_initial, scenario.beta),
                                    gibbs_state(scenario.h_final, scenario.beta))
@@ -118,6 +119,6 @@ def test_identities_hold_for_any_beta(seed, dim, n_kraus, unital, log10_beta_spa
     scenario = random_scenario(seed, dim_range=(dim, dim), n_kraus_range=(n_kraus, n_kraus),
                                unital_only=unital)
     span = max(scenario.h_initial.spectral_range(), scenario.h_final.spectral_range())
-    scenario = scenario.with_beta(10.0**log10_beta_span / span)
+    scenario = replace(scenario, beta=10.0**log10_beta_span / span)
     residuals = residuals_without_warnings(scenario)
     assert max(residuals.values()) < TOL, residuals
