@@ -360,10 +360,10 @@ def _unitary_mixture(rng: np.random.Generator, dim: int, n_ops: int, tag: str) -
 
 def _clock_powers(dim: int) -> np.ndarray:
     """The diagonals of the clock powers Z^b, b < dim, of Z = diag(exp(2 pi i k / dim)):
-    row b holds Z^b[k, k]. One matrix_power per power: the direct exp(2 pi i k b / dim)
-    differs from its diagonal in the last bit."""
-    z = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
-    return np.array([np.diagonal(np.linalg.matrix_power(z, b)) for b in range(dim)])
+    row b holds exp(2 pi i (k b mod dim) / dim), read from one table of roots at exact
+    indices, so no entry depends on a BLAS kernel."""
+    k = np.arange(dim)
+    return np.exp(2j * np.pi * k / dim)[np.outer(k, k) % dim]
 
 
 # each preset's parameters as (name, low, high, integer), the one description
