@@ -3,28 +3,27 @@
 Validation, unitality detection, application to density matrices and a
 preset catalog including non-unital cooling channels.
 
-A channel from a Kraus list or array (validate_channel, the random and
-unitary presets) is checked and kept as one read-only (n_kraus, d, d)
-array, its ``stack``. The presets whose operators are monomial by
-construction (identity, dephasing, depolarizing, amplitude damping,
-thermal attenuation) are built from each row's one entry, their
-``monomial`` form, in O(n_kraus * d): sum A^dag A is then diagonal, so
-the trace-preservation check reads the entries alone. Their stack is
-scattered from the entries only when a dense route first asks for it.
+A channel has one of two constructors. From its operators (validate_channel,
+which the random and unitary presets and every document's Kraus list go
+through), it is checked and kept as one read-only (n_kraus, d, d) array, its
+``stack``. The presets whose operators are monomial by construction
+(identity, dephasing, depolarizing, amplitude damping, thermal attenuation)
+are built from each row's one entry, their ``monomial`` form, in
+O(n_kraus * d): sum A^dag A is then diagonal, so the trace-preservation
+check reads the entries alone. Their stack is scattered from the entries
+only when a dense route first asks for it.
 
 Each Kraus pass of a report (the action on a state, sum A A^dag and the
-TPM transition table) has two routes. The entry route runs when the
-operators are monomial (at most one nonzero per row and per column; a
-document's Kraus list, permutations included, has its form found on first
-use) and the inputs are in energy bases (a real diagonal state; two
-permutation eigenbases). It sums each row's one entry in operator order
-from +0.0: O(n_kraus * d) instead of O(n_kraus * d^3). Otherwise the dense
-route sums the matrix products in order by _kraus_block_sum, a loop's bits
-except at d = 1, which only _tp_sum reaches. The entry table adds the
+TPM transition table) has two routes. The entry route runs for a channel
+built from its entries when the inputs are in energy bases (a real
+diagonal state; two permutation eigenbases). It sums each row's one entry
+in operator order from +0.0: O(n_kraus * d) instead of O(n_kraus * d^3).
+Otherwise the dense route sums the matrix products in order by
+_kraus_block_sum, a loop's bits except at d = 1. The entry table adds the
 dense terms in the same order, so it keeps their bits. The two diagonal
-sums round each complex product as two separate real products, so they
-can differ in the last bit from a BLAS kernel that fuses the two (a
-complex operator, some d); their off-diagonals, and the imaginary part of
+sums round each complex product as two separate real products, so they can
+differ in the last bit from a BLAS kernel that fuses the two (a complex
+operator, some d); their off-diagonals, and the imaginary part of
 sum A A^dag, are exactly 0.
 """
 
@@ -62,8 +61,9 @@ def _kraus_block_sum(stack: np.ndarray, term: Callable[[np.ndarray], np.ndarray]
     """sum_l term(A_l), where term maps a (n, d, d) slice of the stack to its n terms.
 
     Bit for bit a loop's sum, except at d = 1: numpy sums a (n, 1, 1) block
-    over its one column pairwise once n > 8. Every 1x1 pass of a report takes
-    the entry route, so only _tp_sum (the validation check) sums one that way.
+    over its one column pairwise once n > 8. A 1x1 Kraus list from
+    validate_channel sums that way in every dense pass; documents need
+    dim >= 2, so only the Python API reaches it.
     """
     total = 0.0
     for k in range(0, len(stack), KRAUS_BLOCK):
@@ -110,12 +110,15 @@ class KrausChannel:
     Built by validate_channel from the operators, or by a monomial preset
     from its entries. ``stack`` holds the operators as one read-only
     (n_kraus, dim, dim) array; ``dense`` builds it on first use.
+    ``monomial`` is the entries of a channel built from them, which the
+    entry route reads, and None for one built from its operators.
     """
 
     n_kraus: int
     dim: int
     dense: Callable[[], np.ndarray] = field(repr=False)
     label: str = ""
+    monomial: MonomialForm | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def stack(self) -> np.ndarray:
@@ -128,30 +131,11 @@ class KrausChannel:
         """The operators A_l as (dim, dim) views into the stack."""
         return tuple(self.stack)
 
-    @cached_property
-    def monomial(self) -> MonomialForm | None:
-        """Each row's one entry if every operator has at most one nonzero per
-        row and per column, else None. Known at construction for a monomial
-        preset; otherwise found on first use, not at validation."""
-        s = self.stack
-        n, d, _ = s.shape
-        nonzero = s != 0
-        total = np.count_nonzero(nonzero)
-        if total > n * d:  # every dense stack exits here
-            return None
-        cols = nonzero.argmax(axis=2)
-        vals = s[np.arange(n)[:, np.newaxis], np.arange(d), cols]
-        # one entry is taken from each row, so all of them only if no row holds
-        # two; no column holds two only if as many columns as entries are used
-        if np.count_nonzero(vals) < total or np.count_nonzero(nonzero.any(axis=1)) < total:
-            return None
-        return MonomialForm(cols, vals)
-
     def apply(self, rho) -> np.ndarray:
         """Channel action on a density matrix (linear, trace preserving).
 
-        Entry route, for monomial operators and a real diagonal rho: the
-        diagonal of the terms (a rho_cc) conj(a), a = A_l[i, c] and
+        Entry route, for a channel built from its entries and a real diagonal
+        rho: the diagonal of the terms (a rho_cc) conj(a), a = A_l[i, c] and
         c = cols[l, i], each part rounded as two separate real products.
         Dense route otherwise: sum_l A_l rho A_l^dag.
         """
@@ -174,8 +158,8 @@ class KrausChannel:
     def kraus_sum(self) -> np.ndarray:
         """sum_l A_l A_l^dag, the operator whose identity-deviation measures non-unitality.
 
-        Entry route, for monomial operators: the diagonal sum_l (Re a)^2 +
-        (Im a)^2 over each row's entry a. Dense route otherwise.
+        Entry route, for a channel built from its entries: the diagonal
+        sum_l (Re a)^2 + (Im a)^2 over each row's entry a. Dense route otherwise.
         """
         form = self.monomial
         if form is not None:
@@ -188,10 +172,10 @@ class KrausChannel:
         """p(n|m) = sum_l |<f_n| A_l |i_m>|^2, f_n and i_m the eigenvectors of
         final and initial in eigenvalue order.
 
-        Entry route (monomial operators, both eigenbases permutations): a
-        bincount of |vals[l, i]|^2 at (i, cols[l, i]), which adds the dense
-        route's terms in operator order from +0.0, reordered by the two
-        permutations. Dense route otherwise: |V_f^dag A_l V_i|^2.
+        Entry route (a channel built from its entries, both eigenbases
+        permutations): a bincount of |vals[l, i]|^2 at (i, cols[l, i]), which
+        adds the dense route's terms in operator order from +0.0, reordered
+        by the two permutations. Dense route otherwise: |V_f^dag A_l V_i|^2.
         """
         rows, cols = final.permutation, initial.permutation
         form = self.monomial if rows is not None and cols is not None else None
@@ -220,11 +204,6 @@ def validate_channel(ops, label: str = "") -> KrausChannel:
         stack = np.array(ops, dtype=complex, order="C")
     except ValueError as exc:
         raise DimensionMismatch(f"cannot stack the Kraus operators: {exc}") from exc
-    return _channel(stack, label)
-
-
-def _channel(stack: np.ndarray, label: str) -> KrausChannel:
-    """validate_channel without the copy, for a complex stack built here."""
     if stack.ndim == 0 or len(stack) == 0:
         raise DimensionMismatch("a channel needs at least one Kraus operator")
     if stack.ndim != 3:
@@ -255,15 +234,13 @@ def _monomial_channel(cols: np.ndarray, vals: np.ndarray, label: str) -> KrausCh
     scattering the entries into zeros when a dense route first asks for it.
     """
     empty = vals == 0
-    cols[empty], vals[empty] = 0, 0  # MonomialForm's empty row, as detection finds it
+    cols[empty], vals[empty] = 0, 0  # MonomialForm's empty row
     cols.flags.writeable = vals.flags.writeable = False
     n, d = cols.shape
     diag = np.bincount(cols.ravel(), weights=(np.abs(vals) ** 2).ravel(), minlength=d)
     _check_trace_preserving(float(np.abs(diag - 1.0).max()))
     form = MonomialForm(cols, vals)
-    channel = KrausChannel(n, d, partial(_scattered, form), label)
-    vars(channel)["monomial"] = form  # known here, so never detected from a stack
-    return channel
+    return KrausChannel(n, d, partial(_scattered, form), label, form)
 
 
 def _scattered(form: MonomialForm) -> np.ndarray:
@@ -355,7 +332,7 @@ def _unitary_mixture(rng: np.random.Generator, dim: int, n_ops: int, tag: str) -
     weights = rng.random(n_ops) + 0.1
     weights /= weights.sum()
     stack = np.sqrt(weights)[:, np.newaxis, np.newaxis] * _haar_isometries(rng, (n_ops, dim, dim))
-    return _channel(stack, label=f"unitary_mixture({tag}, n_ops={n_ops})")
+    return validate_channel(stack, label=f"unitary_mixture({tag}, n_ops={n_ops})")
 
 
 def _clock_powers(dim: int) -> np.ndarray:
@@ -423,7 +400,7 @@ def preset(name: str, params: Sequence[float] = (), dim: int = 2) -> KrausChanne
 
     if name == "unitary":
         (seed,) = params
-        return _channel(haar_unitary(dim, seed)[np.newaxis], label=f"unitary(seed={seed})")
+        return validate_channel(haar_unitary(dim, seed)[np.newaxis], label=f"unitary(seed={seed})")
 
     if name == "dephasing":
         (p,) = params

@@ -15,7 +15,6 @@ from fluctlab import (
     NotSquare,
     NotTracePreserving,
     ParamOutOfRange,
-    Scenario,
     UnknownPreset,
     build_report,
     exp_average,
@@ -25,7 +24,6 @@ from fluctlab import (
     preset,
     random_channel,
     random_hamiltonian,
-    scenario_artifacts,
     scenario_from_dict,
     tpm_distributions,
     unitary_mixture,
@@ -33,7 +31,6 @@ from fluctlab import (
 )
 from fluctlab import channels, cli
 from fluctlab.channels import _tp_sum, unitality_of_sum
-from fluctlab.thermo import report_to_json
 
 AMP_DAMP_OPS = [np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
                 np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)]
@@ -238,20 +235,22 @@ class TestStackedSums:
 
     @staticmethod
     def scaled_permutations(dim, n_kraus, seed, real):
-        """A_l = P_l D_l with random permutations P_l and diagonals D_l whose
-        columns are normalized over l; about a fifth of the entries are 0,
-        each leaving a row and a column of its operator empty."""
+        """The entries (cols, vals) of A_l = P_l D_l with random permutations
+        P_l and diagonals D_l whose columns are normalized over l; about a
+        fifth of the entries are 0, each leaving a row and a column of its
+        operator empty."""
         rng = np.random.default_rng(seed)
         weights = rng.random((n_kraus, dim)) * (rng.random((n_kraus, dim)) > 0.2)
         weights[0] = np.where(weights.any(axis=0), weights[0], 1.0)
         weights /= weights.sum(axis=0)
         phases = rng.choice([-1.0, 1.0], (n_kraus, dim)) if real else \
             np.exp(2j * np.pi * rng.random((n_kraus, dim)))
-        stack = np.zeros((n_kraus, dim, dim), dtype=complex)
-        cols = np.arange(dim)
+        cols = np.empty((n_kraus, dim), dtype=int)
+        vals = np.empty((n_kraus, dim), dtype=complex)
         for k in range(n_kraus):
-            stack[k, rng.permutation(dim), cols] = np.sqrt(weights[k]) * phases[k]
-        return validate_channel(stack)
+            rows = rng.permutation(dim)  # A_l[rows[j], j] = sqrt(weights[l, j]) phases[l, j]
+            cols[k, rows], vals[k, rows] = np.arange(dim), np.sqrt(weights[k]) * phases[k]
+        return cols, vals
 
     MONOMIAL = {
         "identity": lambda: preset("identity", [], 3),
@@ -259,20 +258,24 @@ class TestStackedSums:
         "depolarizing": lambda: preset("depolarizing", [0.3], 6),
         "amplitude_damping": lambda: preset("amplitude_damping", [0.4], 4),
         "thermal_attenuator": lambda: preset("thermal_attenuator", [0.5, 0.3], 2),
-        "unitary_flip": lambda: validate_channel([[[0.0, 1.0], [1.0, 0.0]]]),
-        "one-level": lambda: random_channel(1, 65, 45),
-        **{f"real-{n}": (lambda n=n: TestStackedSums.scaled_permutations(5, n, n, True))
+        # scenarios/unitary_flip.json's operator and other monomial Kraus
+        # lists, built from their entries
+        "unitary_flip": lambda: channels._monomial_channel(
+            np.array([[1, 0]]), np.ones((1, 2), dtype=complex), "unitary_flip"),
+        "one-level": lambda: channels._monomial_channel(
+            np.zeros((65, 1), dtype=int), random_channel(1, 65, 45).stack[:, 0].copy(),
+            "one-level"),
+        **{f"real-{n}": (lambda n=n: channels._monomial_channel(
+            *TestStackedSums.scaled_permutations(5, n, n, True), f"real-{n}"))
            for n in (1, 63, 64, 65, 576)},
-        **{f"complex-{n}": (lambda n=n: TestStackedSums.scaled_permutations(5, n, n, False))
+        **{f"complex-{n}": (lambda n=n: channels._monomial_channel(
+            *TestStackedSums.scaled_permutations(5, n, n, False), f"complex-{n}"))
            for n in (1, 63, 64, 65, 576)},
     }
 
     @pytest.mark.parametrize("name", sorted(MONOMIAL))
     def test_monomial_operators_match_operator_loop(self, name):
         c = self.MONOMIAL[name]()
-        # a preset is built from its form; a Kraus list has it found on first
-        # use, not at validation
-        assert ("monomial" in vars(c)) == (name in MONOMIAL_PRESETS)
         form = c.monomial
         assert form.cols.shape == form.vals.shape == (c.n_kraus, c.dim)
         rebuilt = np.zeros_like(c.stack)
@@ -302,6 +305,17 @@ class TestStackedSums:
             # bound was fixed before the monomial sums were written
             assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
 
+    @pytest.mark.parametrize("name", sorted(MONOMIAL))
+    def test_monomial_kraus_lists_take_the_dense_route(self, name):
+        # the same operators as a Kraus list carry no entries, so every pass
+        # takes the dense route and gives the per-operator loops' bits
+        c = validate_channel(self.MONOMIAL[name]().stack)
+        assert c.monomial is None
+        if c.dim >= 2:  # at d = 1 a dense block of more than 8 sums pairwise
+            rng = np.random.default_rng(len(name))
+            h_i, h_f = (Hamiltonian.from_matrix(np.diag(rng.random(c.dim))) for _ in range(2))
+            self.check_against_loops(c, h_i, h_f)
+
     @pytest.mark.parametrize("ops", [
         # one row holds two entries, every column one per operator
         [np.sqrt(0.5) * np.eye(2), [[0.5, 0.5], [0.0, 0.0]], [[0.5, -0.5], [0.0, 0.0]]],
@@ -310,7 +324,7 @@ class TestStackedSums:
     ], ids=["row", "column"])
     def test_two_entries_in_a_line_are_not_monomial(self, ops):
         c = validate_channel(ops)
-        assert np.count_nonzero(c.stack) <= c.n_kraus * c.dim  # past the dense exit
+        assert np.count_nonzero(c.stack) <= c.n_kraus * c.dim  # no more nonzeros than entries
         assert c.monomial is None
         rho = gibbs_state(ladder(2), 1.0).state
         assert np.array_equal(c.apply(rho),
@@ -620,8 +634,9 @@ class TestArrayBuiltChannels:
     @pytest.mark.parametrize("name", ["dephasing", "depolarizing"])
     def test_scattered_stack_keeps_the_products_outputs(self, name):
         # the dense route on the scattered stack gives the bytes of the clock
-        # products with their signed zeros: a Haar pair, and a Haar initial
-        # Hamiltonian (a dense state) with a diagonal final one
+        # products with their signed zeros: the action on a dense state (a
+        # Haar initial Hamiltonian's), and the table on a Haar pair and on a
+        # Haar initial Hamiltonian with a diagonal final one
         for dim in (2, 3, 5, 6, 7, 19, 23):
             diagonal = Hamiltonian.from_matrix(np.diag(np.random.default_rng(dim).random(dim)))
             pairs = [(random_hamiltonian(dim, 11), random_hamiltonian(dim, 12)),
@@ -629,18 +644,13 @@ class TestArrayBuiltChannels:
             for p in (0.0, 0.3, 1.0):
                 built = preset(name, [p], dim), validate_channel(loop_preset(name, p, dim))
                 for (h_i, h_f), beta in itertools.product(pairs, (0.2, 1.0, 5.0)):
-                    got, want = (self.artifact_bytes(Scenario(
-                        name=name, dim=dim, beta=beta, h_initial=h_i, h_final=h_f, channel=c))
-                        for c in built)
+                    rho = gibbs_state(h_i, beta).state
+                    got, want = (c.apply(rho).tobytes() for c in built)
                     assert got == want, (dim, p, beta)
-
-    @staticmethod
-    def artifact_bytes(scenario):
-        art = scenario_artifacts(scenario)
-        out = [report_to_json(art.report).encode(), repr(art.unitality).encode()]
-        for dist in (art.forward, art.backward_raw, art.backward):
-            out += [dist.delta_u.tobytes(), dist.log_mass.tobytes()]
-        return out
+                for h_i, h_f in pairs:
+                    got, want = (c.transition_table(h_f.spectrum, h_i.spectrum).tobytes()
+                                 for c in built)
+                    assert got == want, (dim, p)
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 24])
     def test_identity_and_unitary(self, dim):
@@ -724,8 +734,7 @@ class TestArrayBuiltChannels:
 
 
 class TestMonomialPresets:
-    """The presets built from their entries: each form is the one detection
-    finds in the preset's stack, and the stack is built only for a dense route."""
+    """The presets built from their entries: the stack is built only for a dense route."""
 
     CASES = [("identity", [], dim) for dim in (1, 2, 3, 5, 16, 24)] + [
         (name, [p], dim)
@@ -739,14 +748,18 @@ class TestMonomialPresets:
     def test_form_is_the_detected_form(self, name, params, dim):
         c = preset(name, params, dim)
         form = c.monomial
-        assert c.dim == dim and c.n_kraus == len(form.cols)
+        assert c.dim == dim and form.cols.shape == form.vals.shape == (c.n_kraus, dim)
         assert "stack" not in vars(c)  # dim, n_kraus and the form never build it
         assert not c.stack.flags.writeable
-        # detection on a stack built like a document's Kraus list
-        detected = validate_channel(c.stack).monomial
-        for got, want in zip(form, detected):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name,params", [
+        ("identity", []), ("unitary", [3]), ("dephasing", [0.3]), ("depolarizing", [0.3]),
+        ("amplitude_damping", [0.4]), ("thermal_attenuator", [0.5, 0.3]), ("random", [3, 4]),
+    ])
+    def test_only_entry_presets_carry_a_form(self, name, params):
+        c = preset(name, params, 2)
+        assert (c.monomial is not None) == (name in MONOMIAL_PRESETS)
+        hash(c)  # the form is not a compared field, so it is never hashed
 
     def test_entries_are_checked_for_trace_preservation(self):
         # sum A^dag A = diag(0.25, 0.25), as for validate_channel([diag(0.5, 0.5)])
@@ -790,7 +803,7 @@ class TestMonomialPresets:
         sc = scenario_from_dict(self.ladder_document(24))
         report = build_report(sc)
         assert "stack" not in vars(sc.channel)
-        # the same operators as a Kraus list, whose form detection finds
+        # the same operators as a Kraus list, which take the dense route
         listed = validate_channel(preset("depolarizing", [0.3], 24).stack)
         want = build_report(replace(sc, channel=listed))
         assert repr(report.as_dict()).encode() == repr(want.as_dict()).encode()

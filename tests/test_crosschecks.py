@@ -15,7 +15,7 @@ same binned atoms:
   through the Kraus operators sqrt(s_k) <j|U|phi_k> of the same dilation.
 
 Each runs on Haar eigenbases and on energy bases (diagonal Hamiltonians),
-where monomial channels take the entry route of every Kraus pass and dense
+where monomial presets take the entry route of every Kraus pass and other
 channels multiply by 0/1 eigenbases and a diagonal Gibbs state.
 """
 

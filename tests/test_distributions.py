@@ -21,6 +21,7 @@ from fluctlab import (
     preset,
     random_channel,
     renormalize_backward,
+    scenario_artifacts,
     tpm_distributions,
     validate_channel,
     write_distribution_csv,
@@ -290,6 +291,21 @@ class TestSupportsAndBinning:
             assert pf_a.n_atoms == pf_b.n_atoms
             np.testing.assert_allclose(pf_a.delta_u, pf_b.delta_u, atol=1e-9)
             np.testing.assert_allclose(pf_a.mass, pf_b.mass, atol=1e-9)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 15")
+    @pytest.mark.parametrize("beta", [3e4, 1e6])
+    def test_narrow_spectra_keep_distinct_transitions_apart(self, beta):
+        # spectra 1.4e-8 and 1.8e-8 wide: every one of the 64 gaps is
+        # distinct, but an absolute 1e-9 bin tolerance chains them into a
+        # few atoms, whose merged transitions break the Crooks ratio
+        k = np.arange(8.0)
+        scenario = Scenario(name="narrow", dim=8, beta=beta,
+                            h_initial=Hamiltonian.from_matrix(np.diag(k * 2e-9)),
+                            h_final=Hamiltonian.from_matrix(np.diag((7 - k) * 2.6e-9)),
+                            channel=preset("amplitude_damping", [0.4], 8))
+        art = scenario_artifacts(scenario)
+        assert art.forward.n_atoms == 64
+        assert max(art.report.residuals.values()) < 1e-8
 
 
 def depolarizing_ladder(dim: int, p: float) -> Scenario:
