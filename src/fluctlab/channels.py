@@ -18,6 +18,9 @@ TPM transition table) has two routes. The entry route runs for a channel
 built from its entries when the inputs are in energy bases (a real
 diagonal state; two permutation eigenbases). It sums each row's one entry
 in operator order from +0.0: O(n_kraus * d) instead of O(n_kraus * d^3).
+Its two diagonal sums keep that order by summing the rows of an
+(n_kraus, 2d) float view, which numpy adds row after row because the inner
+width is at least 2; over a single column numpy would sum pairwise.
 Otherwise the dense route sums the matrix products in order by
 _kraus_block_sum, a loop's bits except at d = 1. The entry table adds the
 dense terms in the same order, so it keeps their bits. The two diagonal
@@ -88,22 +91,29 @@ def _tp_sum(stack: np.ndarray) -> np.ndarray:
 class MonomialForm(NamedTuple):
     """The one entry in each row of each operator: A_l[i, cols[l, i]] = vals[l, i].
 
-    Both are (n_kraus, d); an empty row has column 0 and value 0.
+    All three are (n_kraus, d) and read-only; an empty row has column 0 and
+    value 0. ``weights`` is |vals|^2, which the trace-preservation check and
+    the entry transition table add up.
     """
 
     cols: np.ndarray
     vals: np.ndarray
+    weights: np.ndarray
 
 
 def _diagonal_sum(terms: np.ndarray) -> np.ndarray:
-    """diag(sum_l terms[l]) as a complex matrix, the terms added strictly in
-    operator order from +0.0, as _kraus_block_sum does (np.sum over a single
-    column, as at d = 1, would be pairwise)."""
+    """diag(sum_l terms[l]) for complex (n_kraus, d) terms, added strictly in
+    operator order from +0.0, as _kraus_block_sum does.
+
+    The sum runs over the rows of the (n_kraus, 2d) float view: numpy adds
+    the rows of a 2-D reduction in order when the inner width is at least 2,
+    which 2d is even at d = 1. Over a single column it would sum pairwise.
+    """
     terms[0] += 0.0
-    return np.diag(np.cumsum(terms, axis=0)[-1].astype(complex, copy=False))
+    return np.diag(terms.view(float).sum(axis=0).view(complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Validated trace-preserving channel rho -> sum_l A_l rho A_l^dag.
 
@@ -112,13 +122,16 @@ class KrausChannel:
     (n_kraus, dim, dim) array; ``dense`` builds it on first use.
     ``monomial`` is the entries of a channel built from them, which the
     entry route reads, and None for one built from its operators.
+
+    A channel compares and hashes by identity; compare two channels'
+    operators with ``np.array_equal(a.stack, b.stack)``.
     """
 
     n_kraus: int
     dim: int
     dense: Callable[[], np.ndarray] = field(repr=False)
     label: str = ""
-    monomial: MonomialForm | None = field(default=None, repr=False, compare=False)
+    monomial: MonomialForm | None = field(default=None, repr=False)
 
     @cached_property
     def stack(self) -> np.ndarray:
@@ -137,6 +150,7 @@ class KrausChannel:
         Entry route, for a channel built from its entries and a real diagonal
         rho: the diagonal of the terms (a rho_cc) conj(a), a = A_l[i, c] and
         c = cols[l, i], each part rounded as two separate real products.
+        Its temporaries are four (n_kraus, dim) float arrays.
         Dense route otherwise: sum_l A_l rho A_l^dag.
         """
         a = as_complex_matrix(rho)
@@ -149,10 +163,18 @@ class KrausChannel:
         form = self.monomial if real_diagonal else None
         if form is None:
             return _kraus_block_sum(self.stack, lambda k: k @ a @ _dag(k))
-        re, im, r = form.vals.real, form.vals.imag, diag.real[form.cols]
-        br, bi = re * r, im * r  # the entries of A_l rho
+        re, im = form.vals.real, form.vals.imag
+        r = diag.real[form.cols]
+        br = re * r
+        bi = np.multiply(im, r, out=r)  # br + i bi: the entries of A_l rho
         terms = np.empty(r.shape, dtype=complex)
-        terms.real, terms.imag = br * re + bi * im, bi * re - br * im
+        # real part br re + bi im, imaginary part bi re - br im; the imaginary
+        # half holds bi im until it is added to the real part
+        t_re, t_im = terms.real, terms.imag
+        np.multiply(br, re, out=t_re)
+        t_re += np.multiply(bi, im, out=t_im)
+        np.multiply(bi, re, out=t_im)
+        t_im -= np.multiply(br, im, out=br)
         return _diagonal_sum(terms)
 
     def kraus_sum(self) -> np.ndarray:
@@ -163,8 +185,14 @@ class KrausChannel:
         """
         form = self.monomial
         if form is not None:
+            # computed from vals, not read from weights: backward_mass_vs_gamma
+            # compares this route with the transition table's
             re, im = form.vals.real, form.vals.imag
-            return _diagonal_sum(re * re + im * im)
+            terms = np.empty(re.shape, dtype=complex)
+            t_re = np.multiply(re, re, out=terms.real)
+            t_re += np.multiply(im, im, out=terms.imag)
+            terms.imag = 0.0
+            return _diagonal_sum(terms)
         return _kraus_block_sum(self.stack, lambda k: k @ _dag(k))
 
     def transition_table(self, final: SpectralDecomposition,
@@ -173,9 +201,10 @@ class KrausChannel:
         final and initial in eigenvalue order.
 
         Entry route (a channel built from its entries, both eigenbases
-        permutations): a bincount of |vals[l, i]|^2 at (i, cols[l, i]), which
-        adds the dense route's terms in operator order from +0.0, reordered
-        by the two permutations. Dense route otherwise: |V_f^dag A_l V_i|^2.
+        permutations): a bincount of the weights |vals[l, i]|^2 at
+        (i, cols[l, i]), which adds the dense route's terms in operator order
+        from +0.0, reordered by the two permutations. Dense route otherwise:
+        |V_f^dag A_l V_i|^2.
         """
         rows, cols = final.permutation, initial.permutation
         form = self.monomial if rows is not None and cols is not None else None
@@ -184,7 +213,7 @@ class KrausChannel:
             return _kraus_block_sum(self.stack, lambda k: np.abs(vf_dag @ k @ vi) ** 2)
         d = self.dim
         probs = np.bincount((form.cols + d * np.arange(d)).ravel(),
-                            weights=(np.abs(form.vals) ** 2).ravel(), minlength=d * d)
+                            weights=form.weights.ravel(), minlength=d * d)
         return probs.reshape(d, d)[rows][:, cols]
 
 
@@ -235,11 +264,12 @@ def _monomial_channel(cols: np.ndarray, vals: np.ndarray, label: str) -> KrausCh
     """
     empty = vals == 0
     cols[empty], vals[empty] = 0, 0  # MonomialForm's empty row
-    cols.flags.writeable = vals.flags.writeable = False
+    weights = np.abs(vals) ** 2
+    cols.flags.writeable = vals.flags.writeable = weights.flags.writeable = False
     n, d = cols.shape
-    diag = np.bincount(cols.ravel(), weights=(np.abs(vals) ** 2).ravel(), minlength=d)
+    diag = np.bincount(cols.ravel(), weights=weights.ravel(), minlength=d)
     _check_trace_preserving(float(np.abs(diag - 1.0).max()))
-    form = MonomialForm(cols, vals)
+    form = MonomialForm(cols, vals, weights)
     return KrausChannel(n, d, partial(_scattered, form), label, form)
 
 

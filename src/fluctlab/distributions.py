@@ -24,7 +24,8 @@ mass-weighted mean of its members (which keeps first moments exact).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,9 +48,12 @@ class EnergyDistribution:
     delta_u: np.ndarray
     log_mass: np.ndarray
 
-    @property
+    @cached_property
     def mass(self) -> np.ndarray:
-        return np.exp(self.log_mass)
+        """exp(log_mass), computed once and read-only."""
+        mass = np.exp(self.log_mass)
+        mass.flags.writeable = False
+        return mass
 
     @property
     def total_mass(self) -> float:
@@ -79,10 +83,13 @@ def _bin_atoms(gaps: np.ndarray, log_weights: np.ndarray, tol: float):
     order = np.argsort(gaps, kind="stable")
     g = gaps[order]
     lw = log_weights[order]
-    heads = np.concatenate(([0], np.flatnonzero(np.diff(g) > tol) + 1))
-    sizes = np.diff(np.append(heads, len(g)))
+    # bin edges: 0, each index after a gap wider than tol, and len(g)
+    (breaks,) = ((g[1:] - g[:-1]) > tol).nonzero()
+    edges = np.empty(len(breaks) + 2, dtype=breaks.dtype)
+    edges[0], edges[1:-1], edges[-1] = 0, breaks + 1, len(g)
+    heads, sizes = edges[:-1], edges[1:] - edges[:-1]
     top = np.maximum.reduceat(lw, heads, axis=0)
-    top[np.isneginf(top)] = 0.0  # empty bins: every member is exp(-inf) = 0
+    top[top == -np.inf] = 0.0  # empty bins: every member is exp(-inf) = 0
     w = np.exp(lw - np.repeat(top, sizes, axis=0))
     masses = np.add.reduceat(w, heads, axis=0)
     moments = np.add.reduceat(g[:, np.newaxis] * w, heads, axis=0)
@@ -112,13 +119,13 @@ def tpm_distributions(c: KrausChannel, init_eq: ThermalState, final_eq: ThermalS
     probs = c.transition_table(h_f.spectrum, h_i.spectrum)
     with np.errstate(divide="ignore"):
         log_probs = np.log(probs)
-    log_weights = np.stack([
-        (log_probs + init_eq.log_populations[np.newaxis, :]).ravel(),
-        (log_probs + final_eq.log_populations[:, np.newaxis]).ravel(),
-    ], axis=1)
+    d = c.dim
+    log_weights = np.empty((d, d, 2))
+    np.add(log_probs, init_eq.log_populations[np.newaxis, :], out=log_weights[..., 0])
+    np.add(log_probs, final_eq.log_populations[:, np.newaxis], out=log_weights[..., 1])
     gaps = np.subtract.outer(h_f.energies, h_i.energies).ravel()
     tol = default_bin_tolerance(h_i, h_f, bin_tol_scale)
-    positions, log_masses = _bin_atoms(gaps, log_weights, tol)
+    positions, log_masses = _bin_atoms(gaps, log_weights.reshape(d * d, 2), tol)
     return (EnergyDistribution(positions[:, 0], log_masses[:, 0]),
             EnergyDistribution(positions[:, 1], log_masses[:, 1]))
 
@@ -130,7 +137,7 @@ def gamma_of_sum(kraus_sum: np.ndarray, final_eq: ThermalState) -> float:
         raise DimensionMismatch(
             f"channel dim {len(kraus_sum)} does not match state dim {final_eq.dim}"
         )
-    return float(np.trace(kraus_sum @ final_eq.state).real)
+    return float((kraus_sum @ final_eq.state).trace().real)
 
 
 def _log_total(log_mass: np.ndarray) -> float:
@@ -144,7 +151,7 @@ def renormalize_backward(p: EnergyDistribution) -> EnergyDistribution:
     log_total = _log_total(p.log_mass)
     if log_total == -np.inf:
         raise ZeroMass("cannot renormalize a distribution with no mass")
-    return replace(p, delta_u=p.delta_u.copy(), log_mass=p.log_mass - log_total)
+    return EnergyDistribution(p.delta_u.copy(), p.log_mass - log_total)
 
 
 def exp_average(p: EnergyDistribution, coefficient: float, offset: float = 0.0) -> float:

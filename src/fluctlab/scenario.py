@@ -38,8 +38,16 @@ MAX_DIM = 64
 MAX_COUNT = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
+    """One open-process experiment: the Gibbs state of h_initial at beta, the
+    channel, and h_final measured afterwards.
+
+    A scenario compares and hashes by identity, as its channel does; compare
+    two scenarios by their arrays, the operators for example with
+    ``np.array_equal(a.channel.stack, b.channel.stack)``.
+    """
+
     name: str
     dim: int
     beta: float

@@ -110,8 +110,8 @@ def internal_energy_change(rho_out: np.ndarray, init: ThermalState,
             f"output state shape {rho_out.shape}, state dim {init.dim}, final "
             f"Hamiltonian dim {h_final.dim} must agree"
         )
-    return float(np.trace(h_final.matrix @ rho_out).real
-                 - np.trace(init.hamiltonian.matrix @ init.state).real)
+    return float((h_final.matrix @ rho_out).trace().real
+                 - (init.hamiltonian.matrix @ init.state).trace().real)
 
 
 class ScenarioArtifacts(NamedTuple):

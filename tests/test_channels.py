@@ -306,6 +306,38 @@ class TestStackedSums:
             assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
 
     @pytest.mark.parametrize("name", sorted(MONOMIAL))
+    def test_entry_sums_keep_their_stated_arithmetic(self, name):
+        # in an energy basis both diagonal sums give the bytes of a loop over
+        # their stated per-operator terms, complex entries and d = 1 included
+        c = self.MONOMIAL[name]()
+        rng = np.random.default_rng(len(name))
+        rho = gibbs_state(Hamiltonian.from_matrix(np.diag(rng.random(c.dim))), 1.0).state
+        r = np.diagonal(rho).real
+        assert np.array_equal(rho, np.diag(r))
+        want_apply = self.loop_sum(c.kraus_ops, partial(self.entry_apply_term, r))
+        want_kraus = self.loop_sum(c.kraus_ops, self.entry_kraus_term).astype(complex)
+        assert c.apply(rho).tobytes() == want_apply.tobytes()
+        assert c.kraus_sum().tobytes() == want_kraus.tobytes()
+
+    @pytest.mark.parametrize("dim", [24, 64])
+    def test_entry_route_temporaries(self, dim):
+        # peak traced memory of one call, after a warm-up call, in units of
+        # one (n_kraus, dim) float array
+        c = preset("depolarizing", [0.3], dim)
+        rho = gibbs_state(ladder(dim), 1.0).state
+        unit = c.n_kraus * dim * 8
+        for call, bound in ((partial(c.apply, rho), 4.5), (c.kraus_sum, 3.1)):
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * unit, (call, peak / unit)
+        assert "stack" not in vars(c)
+
+    @pytest.mark.parametrize("name", sorted(MONOMIAL))
     def test_monomial_kraus_lists_take_the_dense_route(self, name):
         # the same operators as a Kraus list carry no entries, so every pass
         # takes the dense route and gives the per-operator loops' bits
@@ -760,6 +792,15 @@ class TestMonomialPresets:
         c = preset(name, params, 2)
         assert (c.monomial is not None) == (name in MONOMIAL_PRESETS)
         hash(c)  # the form is not a compared field, so it is never hashed
+
+    @pytest.mark.parametrize("make", [lambda: preset("dephasing", [0.3], 3),
+                                      lambda: validate_channel([np.eye(2)])],
+                             ids=["preset", "kraus-list"])
+    def test_channels_compare_by_identity(self, make):
+        c, twin = make(), make()
+        assert c == c and hash(c) == hash(c)
+        assert c != twin and len({c, twin}) == 2
+        assert np.array_equal(c.stack, twin.stack)
 
     def test_entries_are_checked_for_trace_preservation(self):
         # sum A^dag A = diag(0.25, 0.25), as for validate_channel([diag(0.5, 0.5)])

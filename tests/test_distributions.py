@@ -162,6 +162,11 @@ class TestRenormalize:
         with pytest.raises(ZeroMass):
             renormalize_backward(make_dist([(0.0, 0.0)]))
 
+    def test_mass_is_computed_once_and_read_only(self):
+        q = renormalize_backward(make_dist([(0.0, 0.25), (1.0, 0.75)]))
+        assert q.mass is q.mass and not q.mass.flags.writeable
+        assert q.mass.tobytes() == np.exp(q.log_mass).tobytes()
+
 
 class TestExpAverage:
     def test_trivial_coefficients(self):

@@ -3,7 +3,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from fluctlab import ScenarioError, preset, random_scenario, scenario, scenario_from_dict
+from fluctlab import (
+    Hamiltonian,
+    Scenario,
+    ScenarioError,
+    preset,
+    random_scenario,
+    scenario,
+    scenario_from_dict,
+)
 from fluctlab.channels import _PRESET_PARAMS, _SEED
 from fluctlab.scenario import parse_channel, parse_matrix
 from conftest import mixed_scenario, unital_scenario
@@ -137,3 +145,12 @@ def test_omitted_preset_seed_is_the_scenario_seed(name, seed):
         for params in (rest, [seed] + rest))
     assert omitted.label == written.label
     assert omitted.stack.tobytes() == written.stack.tobytes()
+
+
+def test_scenarios_hash_and_compare_by_identity():
+    h = Hamiltonian.from_matrix(np.diag([0.0, 0.5, 1.0]))
+    sc = Scenario(name="s", dim=3, beta=1.0, h_initial=h, h_final=h,
+                  channel=preset("dephasing", [0.3], 3))
+    assert {sc: 1}[sc] == 1 and sc == sc
+    twin = Scenario(name="s", dim=3, beta=1.0, h_initial=h, h_final=h, channel=sc.channel)
+    assert twin != sc and len({sc, twin}) == 2

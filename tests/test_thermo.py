@@ -16,6 +16,7 @@ from fluctlab import (
     random_hamiltonian,
     random_scenario,
     scenario_artifacts,
+    scenario_from_dict,
     validate_channel,
 )
 from fluctlab import states
@@ -224,6 +225,21 @@ class TestBuildReport:
         # the d = 24 depolarizing ladder (576 monomial operators) on the entry
         # route, which calls no BLAS, so these pins hold on every kernel
         assert self.artifact_digests(preset("depolarizing", [0.3], 24), LADDER, beta) == digests
+
+    def test_depolarizing_edge_keeps_its_bytes(self):
+        # the CI smoke run's depolarizing_edge.json: d = 64 with MAX_KRAUS
+        # operators on the entry route, which calls no BLAS, so these pins
+        # hold on every kernel
+        e = [k / 64 for k in range(64)]
+        art = scenario_artifacts(scenario_from_dict({
+            "name": "depolarizing-edge", "dim": 64, "beta": 1.0, "h_initial": {"diag": e},
+            "h_final": {"diag": e}, "channel": {"preset": "depolarizing", "params": [0.3]},
+            "seed": 0}))
+        got = [hashlib.sha256(report_to_json(art.report).encode()).hexdigest()[:16]]
+        for p in (art.forward, art.backward_raw, art.backward):
+            got.append(hashlib.sha256(p.delta_u.tobytes() + p.log_mass.tobytes()).hexdigest()[:16])
+        assert got == ["59463b04ba11ad5c", "6bae42987d4c541c",
+                       "848f949bee9a3449", "dc6dd847c5d62db9"]
 
     def test_artifacts_distributions_consistent(self):
         art = scenario_artifacts(golden_scenario())
