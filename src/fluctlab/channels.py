@@ -16,7 +16,7 @@ only when a dense route first asks for it.
 Each Kraus pass of a report (the action on a state, sum A A^dag and the
 TPM transition table) has two routes. The entry route runs for a channel
 built from its entries when the inputs are in energy bases (a real
-diagonal state; two permutation eigenbases). It sums each row's one entry
+diagonal state; two Hamiltonians given diagonal). It sums each row's one entry
 in operator order from +0.0: O(n_kraus * d) instead of O(n_kraus * d^3).
 Its two diagonal sums keep that order by summing the rows of an
 (n_kraus, 2d) float view, which numpy adds row after row because the inner
@@ -200,11 +200,10 @@ class KrausChannel:
         """p(n|m) = sum_l |<f_n| A_l |i_m>|^2, f_n and i_m the eigenvectors of
         final and initial in eigenvalue order.
 
-        Entry route (a channel built from its entries, both eigenbases
-        permutations): a bincount of the weights |vals[l, i]|^2 at
-        (i, cols[l, i]), which adds the dense route's terms in operator order
-        from +0.0, reordered by the two permutations. Dense route otherwise:
-        |V_f^dag A_l V_i|^2.
+        Entry route (a channel built from its entries, two Hamiltonians given
+        diagonal): a bincount of the weights |vals[l, i]|^2 at (i, cols[l, i]),
+        which adds the dense route's terms in operator order from +0.0,
+        reordered by the two permutations. Dense route otherwise: |V_f^dag A_l V_i|^2.
         """
         rows, cols = final.permutation, initial.permutation
         form = self.monomial if rows is not None and cols is not None else None

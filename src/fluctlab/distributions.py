@@ -36,9 +36,9 @@ from .states import Hamiltonian, ThermalState
 BIN_TOL_BASE = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyDistribution:
-    """Discrete distribution over energy-change atoms, sorted ascending.
+    """Discrete distribution over energy-change atoms, sorted ascending; compares by identity.
 
     ``log_mass`` is the natural log of each atom's mass. Atoms at -inf are
     kept: they record the transition lattice shared by the forward and

@@ -7,8 +7,7 @@ arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,32 +42,23 @@ def hermiticity_deviation(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
     Column k of ``eigenvectors`` belongs to ``eigenvalues[k]``. Within a
     degenerate cluster the basis is an internal detail; nothing downstream
-    may depend on it.
+    may depend on it. Only hermitian_eig of a diagonal matrix sets ``permutation``:
+    eigenvector k is then standard basis vector permutation[k]. Compares by identity.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    permutation: np.ndarray | None = field(default=None, init=False)
 
     @property
     def dim(self) -> int:
         return int(self.eigenvalues.shape[0])
-
-    @cached_property
-    def permutation(self) -> np.ndarray | None:
-        """Row of each eigenvector's single 1 if the eigenvectors are exactly a
-        permutation matrix, as eigh gives for any real diagonal; else None."""
-        v = self.eigenvectors
-        if np.count_nonzero(v) != self.dim:  # every dense basis exits here
-            return None
-        rows, cols = np.nonzero(v == 1)  # row-major, so rows ascend
-        one_each = np.array_equal(rows, np.arange(self.dim)) and np.array_equal(np.sort(cols), rows)
-        return np.argsort(cols) if one_each else None
 
     def reconstruct(self) -> np.ndarray:
         """V diag(lambda) V^dag."""
@@ -76,13 +66,8 @@ class SpectralDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def hermitian_eig(m) -> SpectralDecomposition:
-    """Decompose a Hermitian matrix, eigenvalues sorted ascending.
-
-    The input is symmetrized ((m + m^dag)/2) before the solve to suppress
-    round-off; a deviation beyond HERMITICITY_TOL * max(1, max |m|) raises
-    NotHermitian, so large entries are judged relative to their size.
-    """
+def _symmetrized_eig(m) -> tuple[np.ndarray, SpectralDecomposition]:
+    """(h, the decomposition of h) for h = (m + m^dag)/2; see hermitian_eig."""
     a = as_complex_matrix(m)
     if a.shape[0] != a.shape[1] or not a.size:
         raise NotSquare(f"expected a non-empty square matrix, got shape {a.shape}")
@@ -91,5 +76,22 @@ def hermitian_eig(m) -> SpectralDecomposition:
     if dev > HERMITICITY_TOL * scale:
         raise NotHermitian(f"max |m - m^dag| = {dev:.3e} exceeds tolerance {HERMITICITY_TOL:.0e}"
                            f" * max(1, max |m|) = {HERMITICITY_TOL * scale:.3e}")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+    h = (a + a.conj().T) / 2
+    e = np.diagonal(h).real
+    if np.count_nonzero(h) != np.count_nonzero(e):
+        return h, SpectralDecomposition(*np.linalg.eigh(h))
+    order = np.argsort(e, kind="stable")
+    spec = SpectralDecomposition(e[order], np.eye(len(e), dtype=complex)[:, order])
+    object.__setattr__(spec, "permutation", order)  # frozen, and no __init__ argument
+    return h, spec
+
+
+def hermitian_eig(m) -> SpectralDecomposition:
+    """Decompose a Hermitian matrix, eigenvalues sorted ascending.
+
+    The input is symmetrized ((m + m^dag)/2), which leaves its diagonal exactly
+    real; a deviation beyond HERMITICITY_TOL * max(1, max |m|) raises NotHermitian.
+    A matrix with no nonzero off-diagonal entry is read as its diagonal in stable
+    sorted order, with no LAPACK call; any other goes through eigh.
+    """
+    return _symmetrized_eig(m)[1]

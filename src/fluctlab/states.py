@@ -19,9 +19,9 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidBeta, NotDensityMatrix, NotHermitian
 from .linalg import (
     SpectralDecomposition,
+    _symmetrized_eig,
     as_complex_matrix,
     eigenbasis_diagonal,
-    hermitian_eig,
     hermiticity_deviation,
 )
 
@@ -32,18 +32,17 @@ EIG_CLAMP = 1e-12
 DENSITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """Hermitian energy operator with its spectral decomposition cached."""
+    """Hermitian energy operator with its spectral decomposition cached; compares by identity."""
 
     matrix: np.ndarray
     spectrum: SpectralDecomposition
 
     @classmethod
     def from_matrix(cls, m) -> "Hamiltonian":
-        spec = hermitian_eig(m)
-        a = as_complex_matrix(m)
-        return cls(matrix=(a + a.conj().T) / 2, spectrum=spec)
+        """(m + m^dag)/2 and its decomposition, checked and routed as by hermitian_eig."""
+        return cls(*_symmetrized_eig(m))
 
     @classmethod
     def from_spectrum(cls, spec: SpectralDecomposition) -> "Hamiltonian":
@@ -81,14 +80,14 @@ def _checked_spectrum(rho) -> tuple[np.ndarray, np.ndarray]:
     return a, w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermalState:
     """Gibbs state of a Hamiltonian at inverse temperature beta.
 
     ``populations`` are the eigenbasis weights exp(-beta E_m)/Z in ascending
     energy order; ``log_populations`` carries their exact logarithms
     -beta(E_m - E_min) - log(sum_k exp(-beta(E_k - E_min))), which stay
-    finite even where the populations themselves underflow.
+    finite even where the populations themselves underflow. Compares by identity.
     """
 
     hamiltonian: Hamiltonian

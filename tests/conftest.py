@@ -7,10 +7,6 @@ them.
 
 from __future__ import annotations
 
-import ctypes
-import glob
-import os
-
 import numpy as np
 import pytest
 
@@ -24,23 +20,13 @@ from fluctlab import (
     random_scenario,
     scenario_artifacts,
 )
+from kernel_digest import openblas_core
 
 
 def pytest_report_header(config):
-    """The kernel numpy's bundled OpenBLAS picked at run time, so that the log
-    of a check that holds on one kernel's rounding names that kernel, or
-    "unknown" where it cannot be read."""
-    core = "unknown"
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-        try:  # an unloadable library, a missing symbol, a NULL or undecodable name
-            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
-            corename.argtypes, corename.restype = [], ctypes.c_char_p
-            core = corename().decode()
-            break
-        except (OSError, AttributeError, ValueError):
-            continue
-    return f"openblas core: {core}"
+    """The OpenBLAS kernel of this run, so that the log of a check that holds
+    on one kernel's rounding names that kernel."""
+    return f"openblas core: {openblas_core()}"
 
 
 MIXED_SEED_BASE = 1000

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from fluctlab import NonFinite, NotHermitian, NotSquare, hermitian_eig, random_hamiltonian
+from fluctlab import (
+    Hamiltonian,
+    NonFinite,
+    NotHermitian,
+    NotSquare,
+    hermitian_eig,
+    linalg,
+    random_hamiltonian,
+)
 from fluctlab.linalg import SpectralDecomposition, as_complex_matrix, eigenbasis_diagonal
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -33,6 +41,37 @@ class TestHermitianEig:
         with pytest.raises(NotHermitian):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_complex_diagonal_is_not_hermitian(self):
+        # refused before the diagonal is read: symmetrizing would drop the 1e-6j
+        with pytest.raises(NotHermitian, match=r"2\.000e-06 exceeds"):
+            hermitian_eig(np.diag([1.0 + 1e-6j, 0.0]))
+
+    def test_eigh_only_for_a_matrix_with_off_diagonal_entries(self, monkeypatch):
+        calls = []
+        eigh = linalg.np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg.np.linalg, "eigh", counted)
+        for m in (np.diag([3.0, 1.0, 2.0]), np.zeros((4, 4)), np.eye(1), np.diag([1.0, 2.0]) + 0j):
+            hermitian_eig(m)
+            Hamiltonian.from_matrix(m)
+        assert calls == []
+        hermitian_eig(PAULI_X)
+        assert calls == [(2, 2)]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 13, 24, 33, 64])
+    def test_diagonal_eigenvalues_keep_the_bytes_of_eigh(self, d):
+        # generic and integer-degenerate spectra at scales 1e-9 to 1e99; LAPACK
+        # rescales a matrix whose entries reach about 1e150, so |E| < 1e100
+        rng = np.random.default_rng(d)
+        for scale in (1e-9, 1e-3, 1.0, 1e6, 1e99):
+            for e in (scale * rng.standard_normal(d), scale * rng.integers(0, 4, d)):
+                h = Hamiltonian.from_matrix(np.diag(e))
+                assert h.spectrum.eigenvalues.tobytes() == np.linalg.eigh(h.matrix)[0].tobytes()
+
     def test_large_entries_are_checked_relative_to_their_size(self):
         # deviation 1.1e-10 in absolute terms, Hermitian to rounding
         m = random_hamiltonian(5, 41).matrix * 1e6
@@ -63,19 +102,22 @@ class TestHermitianEig:
 
 
 class TestPermutation:
-    """The row of each eigenvector's single 1, for an exact permutation basis."""
+    """The row of each eigenvector's single 1, set for a diagonal matrix only."""
 
     @pytest.mark.parametrize("diag", [
         [0.0, 0.25, 0.5, 1.0],               # ascending
         [1.0, 0.5, 0.25, 0.0],               # reversed
         [0.5, 1.0, 0.0, 0.25, 0.75],         # shuffled
         [0.0, 1.0, 1.0, 2.0, 0.0, 1.0],      # degenerate
+        [1.0, -0.0, 0.0, -0.0],              # signed zeros, equal under the sort
+        [1.0, 5e-324, 0.0, -5e-324],         # subnormal
+        [0.0, 0.0, 0.0],                     # the zero matrix
         [3.0],
     ])
     def test_set_for_a_diagonal_hamiltonian(self, diag):
         dec = hermitian_eig(np.diag(diag))
         perm = dec.permutation
-        assert perm is not None and sorted(perm) == list(range(len(diag)))
+        assert np.array_equal(perm, np.argsort(diag, kind="stable"))
         # eigenvector k is the standard basis vector perm[k]
         assert np.array_equal(dec.eigenvectors, np.eye(len(diag))[:, perm])
         assert np.array_equal(np.asarray(diag)[perm], dec.eigenvalues)
@@ -84,16 +126,11 @@ class TestPermutation:
         assert random_hamiltonian(6, 2).spectrum.permutation is None
         assert hermitian_eig(PAULI_X).permutation is None
 
-    @pytest.mark.parametrize("entry", [-1.0, 1.0 - 2.0**-52, 1j])
-    def test_none_unless_every_entry_is_exactly_0_or_1(self, entry):
-        v = np.eye(3, dtype=complex)[:, [2, 0, 1]]
-        v[0, 1] = entry
-        assert SpectralDecomposition(np.arange(3.0), v).permutation is None
-
-    def test_none_for_a_repeated_row(self):
-        v = np.zeros((3, 3), dtype=complex)
-        v[[0, 0, 1], [0, 1, 2]] = 1.0
-        assert SpectralDecomposition(np.arange(3.0), v).permutation is None
+    def test_none_for_a_given_decomposition(self):
+        # a decomposition built from its arrays takes the dense route, even
+        # when its eigenvectors are the standard basis
+        spec = SpectralDecomposition(np.arange(3.0), np.eye(3, dtype=complex))
+        assert Hamiltonian.from_spectrum(spec).spectrum.permutation is None
 
 
 class TestEigenbasisDiagonal:

@@ -6,9 +6,11 @@ import os
 import re
 import types
 
+import numpy as np
 import pytest
 
 import fluctlab
+from fluctlab import Hamiltonian, gibbs_state, preset, tpm_distributions
 
 PUBLIC = [
     "BatchSpec", "DimensionMismatch", "EnergyDistribution", "FluctLabError",
@@ -63,3 +65,25 @@ def test_removed_name_is_gone(path):
     if name != "excess_energy":  # still the name of a report field
         with open(README) as fh:
             assert not re.search(rf"\b{name}\b", fh.read())
+
+
+def identity_holders(name: str) -> tuple:
+    """(one, a twin built alike) of a class whose fields hold arrays."""
+    h, twin = (Hamiltonian.from_matrix(np.diag([0.0, 1.0])) for _ in range(2))
+    if name == "Hamiltonian":
+        return h, twin
+    if name == "SpectralDecomposition":
+        return h.spectrum, twin.spectrum
+    if name == "ThermalState":
+        return gibbs_state(h, 1.0), gibbs_state(h, 1.0)
+    return tpm_distributions(preset("dephasing", [0.3], 2), gibbs_state(h, 1.0),
+                             gibbs_state(twin, 1.0))
+
+
+@pytest.mark.parametrize("name", ["Hamiltonian", "SpectralDecomposition", "ThermalState",
+                                  "EnergyDistribution"])
+def test_array_holders_compare_and_hash_by_identity(name):
+    # a generated __eq__ over arrays raised ValueError, and __hash__ TypeError
+    one, twin = identity_holders(name)
+    assert type(one).__name__ == name
+    assert one == one and one != twin and len({one, one, twin}) == 2
