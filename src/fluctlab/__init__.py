@@ -42,7 +42,6 @@ from .errors import (
     UnknownPreset,
     ZeroMass,
 )
-from .linalg import SpectralDecomposition, hermitian_eig
 from .scenario import (
     BatchSpec,
     Scenario,

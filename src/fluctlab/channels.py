@@ -47,7 +47,8 @@ from .errors import (
     ParamOutOfRange,
     UnknownPreset,
 )
-from .linalg import SpectralDecomposition, as_complex_matrix
+from .linalg import as_complex_matrix
+from .states import Hamiltonian
 
 TP_TOL = 1e-10
 UNITAL_TOL = 1e-10
@@ -195,10 +196,9 @@ class KrausChannel:
             return _diagonal_sum(terms)
         return _kraus_block_sum(self.stack, lambda k: k @ _dag(k))
 
-    def transition_table(self, final: SpectralDecomposition,
-                         initial: SpectralDecomposition) -> np.ndarray:
-        """p(n|m) = sum_l |<f_n| A_l |i_m>|^2, f_n and i_m the eigenvectors of
-        final and initial in eigenvalue order.
+    def transition_table(self, final: Hamiltonian, initial: Hamiltonian) -> np.ndarray:
+        """p(n|m) = sum_l |<f_n| A_l |i_m>|^2, f_n and i_m the eigenvectors of the
+        final and initial Hamiltonians in ascending energy order.
 
         Entry route (a channel built from its entries, two Hamiltonians given
         diagonal): a bincount of the weights |vals[l, i]|^2 at (i, cols[l, i]),

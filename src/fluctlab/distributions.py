@@ -116,7 +116,7 @@ def tpm_distributions(c: KrausChannel, init_eq: ThermalState, final_eq: ThermalS
             f"final state dim {final_eq.dim} must agree"
         )
     h_i, h_f = init_eq.hamiltonian, final_eq.hamiltonian
-    probs = c.transition_table(h_f.spectrum, h_i.spectrum)
+    probs = c.transition_table(h_f, h_i)
     with np.errstate(divide="ignore"):
         log_probs = np.log(probs)
     d = c.dim

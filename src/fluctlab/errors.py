@@ -10,7 +10,7 @@ class NotSquare(FluctLabError):
 
 
 class NonFinite(FluctLabError, ValueError):
-    """A matrix or Kraus operator has a NaN or infinite entry."""
+    """A NaN or infinite entry, or a Hamiltonian entry beyond half the float range."""
 
 
 class NotHermitian(FluctLabError):

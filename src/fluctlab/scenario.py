@@ -28,7 +28,6 @@ from .channels import (
     validate_channel,
 )
 from .errors import ScenarioError
-from .linalg import SpectralDecomposition
 from .states import Hamiltonian
 
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -278,8 +277,7 @@ def _random_hamiltonians(rng: np.random.Generator, dim: int, count: int) -> list
     """count random_hamiltonian draws from rng: every spectrum, then one stack of eigenbases."""
     energies = np.sort(rng.random((count, dim)), axis=1)
     vectors = _haar_isometries(rng, (count, dim, dim))
-    return [Hamiltonian.from_spectrum(SpectralDecomposition(eigenvalues=e, eigenvectors=v))
-            for e, v in zip(energies, vectors)]
+    return [Hamiltonian.from_spectrum(e, v) for e, v in zip(energies, vectors)]
 
 
 def random_scenario(seed: int, dim_range=(2, 5), n_kraus_range=(1, 4),

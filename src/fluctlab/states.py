@@ -1,4 +1,4 @@
-"""Thermal (Gibbs) states, free energies and the entropies built on them.
+"""Hamiltonians and their eigenbases, thermal (Gibbs) states, free energies and entropies.
 
 Natural logarithms throughout, so every entropy comes out in nats. For a
 Hamiltonian H at inverse temperature beta the equilibrium state is
@@ -12,18 +12,13 @@ which satisfies the Helmholtz-like identity tr[rho H] = F + S/beta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidBeta, NotDensityMatrix, NotHermitian
-from .linalg import (
-    SpectralDecomposition,
-    _symmetrized_eig,
-    as_complex_matrix,
-    eigenbasis_diagonal,
-    hermiticity_deviation,
-)
+from .errors import (DimensionMismatch, InvalidBeta, NonFinite, NotDensityMatrix, NotHermitian,
+                     NotSquare)
+from .linalg import HERMITICITY_TOL, as_complex_matrix, eigenbasis_diagonal, hermiticity_deviation
 
 # Eigenvalues below this are treated as exact zeros in S_V (0 log 0 = 0); it
 # separates genuine rank deficiency from round-off.
@@ -34,28 +29,60 @@ DENSITY_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """Hermitian energy operator with its spectral decomposition cached; compares by identity."""
+    """Hermitian energy operator with its eigendecomposition; compares by identity.
+
+    ``energies`` ascend, and column k of ``eigenvectors`` belongs to
+    ``energies[k]``. Within a degenerate cluster the basis is an internal
+    detail; nothing downstream may depend on it. Only from_matrix of a diagonal
+    matrix sets ``permutation``: eigenvector k is then standard basis vector
+    permutation[k].
+    """
 
     matrix: np.ndarray
-    spectrum: SpectralDecomposition
+    energies: np.ndarray
+    eigenvectors: np.ndarray
+    permutation: np.ndarray | None = field(default=None, init=False)
 
     @classmethod
     def from_matrix(cls, m) -> "Hamiltonian":
-        """(m + m^dag)/2 and its decomposition, checked and routed as by hermitian_eig."""
-        return cls(*_symmetrized_eig(m))
+        """h = (m + m^dag)/2 and its decomposition.
+
+        Symmetrizing leaves the diagonal exactly real. A deviation beyond
+        HERMITICITY_TOL * max(1, max |m|) raises NotHermitian, and an entry
+        beyond half the float range, where m + m^dag or m - m^dag would
+        overflow, raises NonFinite. A matrix with no nonzero off-diagonal entry
+        is read as its diagonal in stable sorted order, with no LAPACK call;
+        any other goes through eigh.
+        """
+        a = as_complex_matrix(m)
+        if a.shape[0] != a.shape[1] or not a.size:
+            raise NotSquare(f"expected a non-empty square matrix, got shape {a.shape}")
+        scale = max(1.0, float(np.max(np.abs(a))))
+        if scale > np.finfo(float).max / 2:
+            raise NonFinite(f"max |m| = {scale:.3e} exceeds half the float range:"
+                            " m +/- m^dag would overflow")
+        dev = hermiticity_deviation(a)
+        if dev > HERMITICITY_TOL * scale:
+            raise NotHermitian(f"max |m - m^dag| = {dev:.3e} exceeds tolerance"
+                               f" {HERMITICITY_TOL:.0e} * max(1, max |m|)"
+                               f" = {HERMITICITY_TOL * scale:.3e}")
+        h = (a + a.conj().T) / 2
+        e = np.diagonal(h).real
+        if np.count_nonzero(h) != np.count_nonzero(e):
+            return cls(h, *np.linalg.eigh(h))
+        order = np.argsort(e, kind="stable")
+        ham = cls(h, e[order], np.eye(len(e), dtype=complex)[:, order])
+        object.__setattr__(ham, "permutation", order)  # frozen, and no __init__ argument
+        return ham
 
     @classmethod
-    def from_spectrum(cls, spec: SpectralDecomposition) -> "Hamiltonian":
-        """Build the operator V diag(E) V^dag from a given decomposition."""
-        return cls(matrix=spec.reconstruct(), spectrum=spec)
+    def from_spectrum(cls, energies: np.ndarray, eigenvectors: np.ndarray) -> "Hamiltonian":
+        """The operator V diag(E) V^dag of given ascending energies E and eigenvectors V."""
+        return cls((eigenvectors * energies) @ eigenvectors.conj().T, energies, eigenvectors)
 
     @property
     def dim(self) -> int:
-        return self.spectrum.dim
-
-    @property
-    def energies(self) -> np.ndarray:
-        return self.spectrum.eigenvalues
+        return len(self.energies)
 
     def spectral_range(self) -> float:
         e = self.energies
@@ -114,7 +141,7 @@ def gibbs_state(h: Hamiltonian, beta: float) -> ThermalState:
     pops = weights / norm
     log_pops = shifted - np.log(norm)
     f = float(e[0] - np.log(norm) / beta)
-    v = h.spectrum.eigenvectors
+    v = h.eigenvectors
     state = (v * pops) @ v.conj().T
     state = (state + state.conj().T) / 2
     return ThermalState(
@@ -143,5 +170,5 @@ def state_entropies(rho, reference: ThermalState) -> tuple[float, float]:
         )
     w = np.clip(w, 0.0, 1.0)
     nz = w > EIG_CLAMP
-    diag = eigenbasis_diagonal(reference.hamiltonian.spectrum.eigenvectors, r)
+    diag = eigenbasis_diagonal(reference.hamiltonian.eigenvectors, r)
     return float(-(w[nz] * np.log(w[nz])).sum()), float(-(diag * reference.log_populations).sum())

@@ -147,7 +147,7 @@ def scenario_artifacts(scenario: Scenario) -> ScenarioArtifacts:
     if gamma > 0.0:
         x = float(-np.log(gamma) / beta)
     else:  # underflow: log gamma is the log-sum-exp of log <n|sum A A^dag|n> + log p'_n
-        k_nn = eigenbasis_diagonal(final_eq.hamiltonian.spectrum.eigenvectors, kraus_sum)
+        k_nn = eigenbasis_diagonal(final_eq.hamiltonian.eigenvectors, kraus_sum)
         x = -_log_total(np.log(k_nn[k_nn > 0.0]) + final_eq.log_populations[k_nn > 0.0]) / beta
     delta_f = final_eq.free_energy - init_eq.free_energy
     kl = kl_divergence(pf, pb)

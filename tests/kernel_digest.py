@@ -1,13 +1,12 @@
 """One sha256 over the entry route's CLI outputs, and the OpenBLAS kernel that ran them.
 
 ``python tests/kernel_digest.py`` prints the kernel name and the hex digest
-on one line. The documents are those of CI's "Entry route outputs on forced
-BLAS kernels" step: a d = 24 depolarizing, a d = 32 dephasing and a d = 16
-amplitude_damping ladder, the d = 64 depolarizing edge, and a degenerate
-d = 12 depolarizing scenario (levels k % 3 on both sides), whose equal levels
-keep the stable order of their diagonal. Each is run and swept over
-channel.p, and every output file goes into the digest. test_kernels.py
-starts this script once per kernel.
+on one line. The documents are a d = 24 depolarizing, a d = 32 dephasing
+and a d = 16 amplitude_damping ladder, the d = 64 depolarizing edge (4096
+operators), and a degenerate d = 12 depolarizing scenario (levels k % 3 on
+both sides), whose equal levels keep the stable order of their diagonal.
+Each is run and swept over channel.p, and every output file goes into the
+digest. test_kernels.py starts this script once per kernel.
 """
 
 import ctypes
@@ -37,7 +36,7 @@ def openblas_core() -> str:
 
 
 def documents() -> dict:
-    """The CI step's documents by file stem, with the names it gives them."""
+    """The documents by file stem, each with its scenario name."""
     def doc(name, dim, h_initial, h_final, preset="depolarizing"):
         return {"name": name, "dim": dim, "beta": 1.0,
                 "h_initial": {"diag": h_initial}, "h_final": {"diag": h_final},

@@ -81,6 +81,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert "error:" in err and "m^dag" in err
 
+    def test_hamiltonian_beyond_half_the_float_range(self, tmp_path, capsys):
+        # (m + m^dag) / 2 would overflow: refused before the sum, with no RuntimeWarning
+        doc = base_doc(h_initial={"diag": [1.7e308, 0.0]},
+                       channel={"preset": "dephasing", "params": [0.3]})
+        path = write_scenario(tmp_path / "huge.json", doc)
+        code = main(["run", path, "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "m +/- m^dag would overflow" in err
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_json_reports_location(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"dim": 2,\n  "beta": oops\n}')

@@ -61,8 +61,8 @@ def ladder_scenario(beta: float) -> Scenario:
 
 
 def evolution(h: Hamiltonian, t: float) -> np.ndarray:
-    """e^{itH} from the cached spectrum."""
-    v = h.spectrum.eigenvectors
+    """e^{itH} from the cached eigendecomposition."""
+    v = h.eigenvectors
     return (v * np.exp(1j * t * h.energies)) @ v.conj().T
 
 
@@ -77,7 +77,7 @@ def scenarios() -> list:
 def test_characteristic_function_matches_the_atoms(scenario):
     rho_eq = gibbs_state(scenario.h_initial, scenario.beta).state
     pf = scenario_artifacts(scenario).forward
-    diagonal = scenario.h_initial.spectrum.permutation is not None
+    diagonal = scenario.h_initial.permutation is not None
     for u in U_GRID:
         start = evolution(scenario.h_initial, -u) @ rho_eq
         if diagonal:  # a complex diagonal: apply keeps the matrix product

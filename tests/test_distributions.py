@@ -10,7 +10,6 @@ from fluctlab import (
     EnergyDistribution,
     Hamiltonian,
     Scenario,
-    SpectralDecomposition,
     SupportMismatch,
     ZeroMass,
     crooks_residual,
@@ -286,9 +285,7 @@ class TestSupportsAndBinning:
         base = Hamiltonian.from_matrix(np.diag(energies))
         block = np.eye(4, dtype=complex)
         block[1:3, 1:3] = haar_unitary(2, 31415)
-        remixed = Hamiltonian.from_spectrum(
-            SpectralDecomposition(eigenvalues=energies,
-                                  eigenvectors=block))
+        remixed = Hamiltonian.from_spectrum(energies, block)
         c = random_channel(4, 3, 271828)
         for beta in (0.2, 1.0, 5.0):
             pf_a, _ = dists(c, base, base, beta)

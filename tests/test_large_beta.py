@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from fluctlab import (
     Hamiltonian,
     Scenario,
-    SpectralDecomposition,
     build_report,
     gibbs_state,
     haar_unitary,
@@ -59,7 +58,7 @@ def former_random_qudit():
         sub = np.random.default_rng(seed)
         energies = np.sort(sub.random(dim))
         vectors = haar_unitary(dim, int(sub.integers(0, 2**63 - 1)))
-        return Hamiltonian.from_spectrum(SpectralDecomposition(energies, vectors))
+        return Hamiltonian.from_spectrum(energies, vectors)
 
     return Scenario(name="random-3", dim=dim, beta=40.0, h_initial=hamiltonian(h_seed_i),
                     h_final=hamiltonian(h_seed_f), channel=random_channel(dim, n_kraus, c_seed),

@@ -107,8 +107,8 @@ def test_seeds_keep_their_sizes_and_beta():
 
 
 def scenario_arrays(s):
-    return [s.h_initial.matrix, s.h_initial.energies, s.h_initial.spectrum.eigenvectors,
-            s.h_final.matrix, s.h_final.energies, s.h_final.spectrum.eigenvectors,
+    return [s.h_initial.matrix, s.h_initial.energies, s.h_initial.eigenvectors,
+            s.h_final.matrix, s.h_final.energies, s.h_final.eigenvectors,
             s.channel.stack]
 
 
