@@ -24,7 +24,6 @@ from .distributions import (
     kl_divergence,
     renormalize_backward,
     tpm_distributions,
-    write_distribution_csv,
 )
 from .errors import (
     DimensionMismatch,

@@ -47,8 +47,7 @@ from .errors import (
     ParamOutOfRange,
     UnknownPreset,
 )
-from .linalg import as_complex_matrix
-from .states import Hamiltonian
+from .states import Hamiltonian, as_complex_matrix
 
 TP_TOL = 1e-10
 UNITAL_TOL = 1e-10

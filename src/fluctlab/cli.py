@@ -1,11 +1,11 @@
 """Command-line front end: run single scenarios, parameter sweeps and
-randomized batch campaigns.
+randomized batch campaigns, and the one module that reads or writes files.
 
 Every command runs its scenarios through thermo.evaluate, which holds the
-pass rule. Exit codes: 0 when every scenario passes, 2 when one fails, 1
-on any input or validation error. Outputs are byte-deterministic for a given
-scenario file and seed: floats are printed at 17 significant digits and
-row order is fixed.
+pass rule. Exit codes: 0 when every scenario passes, 2 when one fails, 1 on
+any input or validation error. Every output format lives here, and outputs
+are byte-deterministic for a given scenario file and seed: floats are
+printed at 17 significant digits by fmt and row order is fixed.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 
 from .channels import _P, _PRESET_PARAMS
-from .distributions import write_distribution_csv
+from .distributions import EnergyDistribution
 from .errors import FluctLabError, ScenarioError, UnknownParam
 from .scenario import (
     DEFAULT_RESIDUAL_TOL,
@@ -31,13 +31,10 @@ from .scenario import (
 from .thermo import (
     REPORT_FIELDS,
     RESIDUAL_KEYS,
+    FluctuationReport,
     ScenarioArtifacts,
     evaluate,
-    fmt,
     max_or_nan,
-    report_csv_header,
-    report_csv_row,
-    report_to_json,
     residual_verdicts,
 )
 
@@ -53,6 +50,35 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+# every number in an output file: 17 significant digits, round-trip exact for doubles
+def fmt(value: float) -> str:
+    return format(float(value), ".17g")
+
+
+def report_csv_header(extra: tuple = ()) -> list:
+    return [*extra, *REPORT_FIELDS, *("residual_" + k for k in sorted(RESIDUAL_KEYS))]
+
+
+def report_csv_row(report: FluctuationReport, extra: tuple = ()) -> list:
+    """The texts under report_csv_header(extra); report.json and summary.txt print the same."""
+    return ([str(v) for v in extra] + [fmt(getattr(report, name)) for name in REPORT_FIELDS]
+            + [fmt(report.residuals[k]) for k in sorted(RESIDUAL_KEYS)])
+
+
+def report_to_json(report: FluctuationReport, header: dict | None = None) -> str:
+    """Flat JSON document: header strings/ints, then the report's CSV columns as keys."""
+    items = [f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in (header or {}).items()]
+    items += [f'  "{k}": {v}' for k, v in zip(report_csv_header(), report_csv_row(report))]
+    return "{\n" + ",\n".join(items) + "\n}\n"
+
+
+def write_distribution_csv(p: EnergyDistribution, path) -> None:
+    """Two-column CSV (delta_u, mass) at 17 significant digits."""
+    rows = zip(p.delta_u.tolist(), p.mass.tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write("delta_u,mass\n" + "".join(f"{fmt(x)},{fmt(w)}\n" for x, w in rows))
 
 
 def _load_json(path: str, seed: int | None):
@@ -88,12 +114,12 @@ def _summary_text(scenario: Scenario, artifacts: ScenarioArtifacts,
         f"unital: {str(check.unital).lower()} (deviation {fmt(check.deviation)})",
         "",
     ]
-    lines += [f"{name:24s} = {fmt(getattr(report, name))}" for name in REPORT_FIELDS]
+    texts = report_csv_row(report)
+    lines += [f"{name:24s} = {text}" for name, text in zip(REPORT_FIELDS, texts)]
     lines += ["", f"residuals (threshold {fmt(threshold)}):"]
     verdicts = residual_verdicts(report, threshold)
-    for name in sorted(RESIDUAL_KEYS):
-        verdict = "PASS" if verdicts[name] else "FAIL"
-        lines.append(f"  {name:24s} {fmt(report.residuals[name]):26s} {verdict}")
+    for name, text in zip(sorted(RESIDUAL_KEYS), texts[len(REPORT_FIELDS):]):
+        lines.append(f"  {name:24s} {text:26s} {'PASS' if verdicts[name] else 'FAIL'}")
     lines.append(f"overall: {'PASS' if passed else 'FAIL'}")
     return "\n".join(lines) + "\n"
 

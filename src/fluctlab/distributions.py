@@ -19,7 +19,8 @@ log ratio is beta (DeltaU - DeltaF), so support comes from the table: an
 atom has mass on one side iff on the other, at any beta > 0. Floating-point
 gaps are merged deterministically: sorted values chain into one bin while
 consecutive gaps stay within the bin tolerance, and each bin sits at the
-mass-weighted mean of its members (which keeps first moments exact).
+mass-weighted mean of its members (which keeps first moments exact). The
+CLI writes them out as pf.csv and pb.csv.
 """
 
 from __future__ import annotations
@@ -217,10 +218,3 @@ def kl_divergence(pf: EnergyDistribution, pb: EnergyDistribution) -> float:
     # a running sum in atom order; a pairwise .sum() moves the last digit
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
-
-def write_distribution_csv(p: EnergyDistribution, path) -> None:
-    """Two-column CSV (delta_u, mass) at 17 significant digits."""
-    rows = "".join(f"{x:.17g},{w:.17g}\n"
-                   for x, w in zip(p.delta_u.tolist(), p.mass.tolist()))
-    with open(path, "w", newline="") as fh:
-        fh.write("delta_u,mass\n" + rows)

@@ -2,11 +2,11 @@
 
 Assembles the internal-energy change (trace formula and first moment), the
 free-energy difference, the non-unitality correction gamma and its energy
-counterpart X = -log(gamma)/beta, the forward/backward KL divergence K,
-the excess energy K/beta + X, the entropy change K + beta X and the von
-Neumann entropy change, with the residual of every identity that ties them
-together. Residuals are reported, never asserted; evaluate, the campaign
-engine behind every CLI command, holds the one rule that judges them.
+counterpart X = -log(gamma)/beta, the forward/backward KL divergence K, the
+excess energy K/beta + X, the entropy change K + beta X and the von Neumann
+entropy change, with the residual of every identity that ties them together.
+Residuals are reported, never asserted: evaluate, the campaign engine behind
+every CLI command, holds the one rule that judges them, and cli writes them.
 
 Dissipated work and heat are deliberately not reported as separate
 numbers: for a map alone only their sum is well defined (unital channels
@@ -16,7 +16,6 @@ excess energy are what the report carries.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, NamedTuple
@@ -35,11 +34,11 @@ from .distributions import (
     tpm_distributions,
 )
 from .errors import DimensionMismatch, FluctLabError, ScenarioError
-from .linalg import eigenbasis_diagonal
 from .scenario import Scenario
 from .states import (
     Hamiltonian,
     ThermalState,
+    eigenbasis_diagonal,
     gibbs_state,
     state_entropies,
 )
@@ -220,29 +219,3 @@ def evaluate(scenarios: Iterable[Scenario], threshold: float, unital: bool = Fal
         yield scenario, artifacts, (all(residual_verdicts(report, threshold).values()) and
                                     (not unital or abs(report.gamma - 1.0) <= UNITAL_GAMMA_TOL))
 
-
-# ---------------------------------------------------------------------------
-# Serialization (17 significant digits, round-trip exact for doubles)
-# ---------------------------------------------------------------------------
-
-def fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def report_to_json(report: FluctuationReport, header: dict | None = None) -> str:
-    """Flat JSON document: header strings/ints, report fields, residual_* keys."""
-    items = [f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in (header or {}).items()]
-    items += [f'  "{name}": {fmt(getattr(report, name))}' for name in REPORT_FIELDS]
-    items += [f'  "residual_{name}": {fmt(report.residuals[name])}'
-              for name in sorted(RESIDUAL_KEYS)]
-    return "{\n" + ",\n".join(items) + "\n}\n"
-
-
-def report_csv_header(extra: tuple = ()) -> list:
-    return [*extra, *REPORT_FIELDS, *("residual_" + k for k in sorted(RESIDUAL_KEYS))]
-
-
-def report_csv_row(report: FluctuationReport, extra: tuple = ()) -> list:
-    return ([str(v) for v in extra]
-            + [fmt(getattr(report, name)) for name in REPORT_FIELDS]
-            + [fmt(report.residuals[k]) for k in sorted(RESIDUAL_KEYS)])

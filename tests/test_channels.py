@@ -106,6 +106,10 @@ class TestApply:
         with pytest.raises(DimensionMismatch):
             preset("identity", [], 2).apply(np.eye(3) / 3.0)
 
+    def test_vector_is_refused(self):
+        with pytest.raises(NotSquare):
+            preset("dephasing", [0.3], 2).apply(np.ones(2))
+
     def test_trace_and_positivity_preserved(self):
         rng = np.random.default_rng(61)
         for k in range(100):
@@ -489,10 +493,22 @@ class TestPresets:
         ("thermal_attenuator", [0.5, -1.0]),
         ("dephasing", [0.1, 0.2]),
         ("identity", [1.0]),
+        ("dephasing", ["0.3"]),
+        ("dephasing", [None]),
     ])
     def test_param_out_of_range(self, name, params):
         with pytest.raises(ParamOutOfRange):
             preset(name, params, 2)
+
+    @pytest.mark.parametrize("make", [
+        lambda: preset("identity", [], 0),
+        lambda: preset("dephasing", [0.3], 1),
+        lambda: random_channel(2, 0, 1),
+        lambda: unitary_mixture(2, 0, 1),
+    ], ids=["identity-dim-0", "dephasing-dim-1", "random-no-kraus", "mixture-no-unitaries"])
+    def test_size_out_of_range(self, make):
+        with pytest.raises(ParamOutOfRange):
+            make()
 
     def test_all_presets_validate_across_dims(self):
         for dim in (2, 3, 5):

@@ -110,6 +110,11 @@ class TestRun:
                      "--tol", "1e-18", "--quiet"])
         assert code == 2
 
+    def test_stdout_is_the_summary(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", GOLDEN_FILE, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.encode() == (out / "summary.txt").read_bytes()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["run", GOLDEN_FILE, "--out", str(out_a), "--quiet"]) == 0
@@ -207,6 +212,13 @@ class TestSweep:
         assert code == 1
         assert "non-empty" in capsys.readouterr().err
 
+    def test_unparsable_values(self, tmp_path, capsys):
+        code = main(["sweep", GOLDEN_FILE, "--param", "beta", "--values", "0.1,abc",
+                     "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: bad sweep values")
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_param(self, tmp_path, capsys):
         code = main(["sweep", GOLDEN_FILE, "--param", "channel.q",
                      "--values", "1,2", "--out", str(tmp_path / "o"), "--quiet"])
@@ -247,6 +259,13 @@ class TestBatch:
             fields = line.split(",")
             assert fields[2] == "true"
             assert abs(float(fields[3]) - 1.0) < 1e-10
+
+    def test_stdout_is_the_batch_summary(self, tmp_path, capsys):
+        doc = {"count": 3, "dim_range": [2, 3], "beta_set": [1.0], "seed": 7}
+        path = write_scenario(tmp_path / "spec.json", doc)
+        out = tmp_path / "o"
+        assert main(["batch", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.encode() == (out / "batch_summary.txt").read_bytes()
 
     def test_fixed_seed_rerun_byte_identical(self, tmp_path):
         doc = {"count": 1, "dim_range": [2, 5], "n_kraus_range": [1, 4],
@@ -294,6 +313,8 @@ class TestBatch:
         "n-kraus-range-huge": ({"n_kraus_range": [1, 1e300]}, []),
         "count-huge": ({"count": 1e300}, []),
         "unital-only-string": ({"unital_only": "false"}, []),
+        "dim-range-reversed": ({"dim_range": [5, 2]}, []),
+        "beta-set-empty": ({"beta_set": []}, []),
     }
 
     @pytest.mark.parametrize("fields,flags", BAD_SPECS.values(), ids=BAD_SPECS)
@@ -468,6 +489,9 @@ OUT_OF_DOMAIN_DOCS = {
     "kraus-huge-entry": dict(channel={"kraus": [[[1e300, 0], [0, 1]]]}),
     "kraus-not-a-list": dict(channel={"kraus": 1.5}),
     "preset-not-a-name": dict(channel={"preset": ["random"]}),
+    "channel-not-an-object": dict(channel=5),
+    "channel-empty": dict(channel={}),
+    "tolerances-not-an-object": dict(tolerances=[]),
 }
 
 

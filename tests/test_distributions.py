@@ -23,8 +23,8 @@ from fluctlab import (
     scenario_artifacts,
     tpm_distributions,
     validate_channel,
-    write_distribution_csv,
 )
+from fluctlab.cli import write_distribution_csv
 from fluctlab.distributions import default_bin_tolerance, gamma_of_sum
 
 # frozen against the brute-force TPM enumeration oracle (tests/oracle.py)
@@ -129,6 +129,10 @@ class TestGamma:
     def test_amplitude_damping(self):
         # sum A A^dag = diag(2, 0); trace against the Gibbs populations
         assert abs(gamma_of_sum(AMP_DAMP.kraus_sum(), gibbs_state(H01, 1.0)) - GAMMA_AD) < 1e-14
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            gamma_of_sum(np.eye(3), gibbs_state(H01, 1.0))
 
     def test_agrees_with_backward_mass(self):
         rng = np.random.default_rng(101)

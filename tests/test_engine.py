@@ -40,6 +40,7 @@ BATCH_DIGESTS = {
 }
 
 
+@pytest.mark.dense_digest
 @pytest.mark.parametrize("spec,seed", BATCH_DIGESTS, ids=lambda v: str(v))
 def test_batch_keeps_its_bytes(tmp_path, spec, seed):
     flags = [] if seed is None else ["--seed", seed]
@@ -51,7 +52,8 @@ def test_batch_keeps_its_bytes(tmp_path, spec, seed):
 
 
 @pytest.mark.parametrize("name,param,values,expected", [
-    ("random_qutrit.json", "beta", "0.2,1,5", "11a39b172eaca8a7"),
+    pytest.param("random_qutrit.json", "beta", "0.2,1,5", "11a39b172eaca8a7",
+                 marks=pytest.mark.dense_digest),
     ("amplitude_damping_golden.json", "channel.p", "0,0.2,0.5,0.8,1", "4b113ff5a62e95e8"),
 ])
 def test_sweep_keeps_its_bytes(tmp_path, name, param, values, expected):

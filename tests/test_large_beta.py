@@ -65,6 +65,7 @@ def former_random_qudit():
                     seed=3)
 
 
+@pytest.mark.dense_digest
 def test_random_qudit_at_beta_40():
     scenario = former_random_qudit()
     # sha256 of the four matrices as drawn before, rounded to 10 decimals to

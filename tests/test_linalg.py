@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fluctlab import Hamiltonian, NonFinite, NotHermitian, NotSquare, random_hamiltonian
-from fluctlab.linalg import as_complex_matrix, eigenbasis_diagonal
+from fluctlab.states import as_complex_matrix, eigenbasis_diagonal
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 

@@ -1,8 +1,11 @@
 """The package's public surface: every exported name sits on a computed path."""
 
+import ast
 import dataclasses
 import importlib
+import importlib.util
 import os
+import pathlib
 import re
 import types
 
@@ -23,7 +26,7 @@ PUBLIC = [
     "internal_energy_change", "kl_divergence", "preset", "random_channel",
     "random_hamiltonian", "random_scenario", "renormalize_backward",
     "scenario_artifacts", "scenario_from_dict", "state_entropies", "tpm_distributions",
-    "unitary_mixture", "validate_channel", "write_distribution_csv",
+    "unitary_mixture", "validate_channel",
 ]
 
 # names, under their defining module, that sat on no computed path and were removed
@@ -37,14 +40,17 @@ REMOVED = [
     "channels.is_unital",
     "thermo.entropy_change",
     "thermo.excess_energy",
-    "linalg.SpectralDecomposition",
+    "states.SpectralDecomposition",
     "states.ThermalState.partition_function",
     "distributions.EnergyDistribution.bin_tolerance",
     "scenario.Scenario.with_beta",
-    "linalg.hermitian_eig",
+    "states.hermitian_eig",
 ]
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+PACKAGE = pathlib.Path(fluctlab.__file__).parent
+# what reading and writing files, the process and the command line need
+IO_MODULES = {"argparse", "csv", "json", "os", "sys"}
 
 
 def test_public_names():
@@ -85,3 +91,26 @@ def test_array_holders_compare_and_hash_by_identity(name):
     one, twin = identity_holders(name)
     assert type(one).__name__ == name
     assert one == one and one != twin and len({one, one, twin}) == 2
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "cli.py"))
+def test_only_cli_does_io(name):
+    # every output format and every file the package touches lives in cli
+    tree = ast.parse((PACKAGE / name).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] if node.level == 0 else []
+        else:
+            modules = []
+        for module in modules:
+            assert module.split(".")[0] not in IO_MODULES, f"imports {module} at line {node.lineno}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            assert called != "open", f"calls open at line {node.lineno}"
+
+
+def test_linalg_is_folded_into_states():
+    assert importlib.util.find_spec("fluctlab.linalg") is None

@@ -188,6 +188,7 @@ class TestStateEntropies:
         (np.array([[0.5, 0.1], [0.0, 0.5]]), NotHermitian, "Hermiticity"),
         (np.diag([0.5, 0.6]), ValueError, "trace"),
         (np.diag([1.5, -0.5]), ValueError, "negative eigenvalue"),
+        (np.ones((2, 3)) / 2, DimensionMismatch, "square"),
     ])
     def test_keeps_the_density_checks(self, rho, error, message):
         ts = gibbs_state(H01, 1.0)

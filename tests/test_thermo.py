@@ -6,6 +6,7 @@ import pytest
 
 import oracle
 from fluctlab import (
+    DimensionMismatch,
     Hamiltonian,
     Scenario,
     build_report,
@@ -20,12 +21,8 @@ from fluctlab import (
     validate_channel,
 )
 from fluctlab import states
-from fluctlab.thermo import (
-    RESIDUAL_KEYS,
-    report_csv_header,
-    report_csv_row,
-    report_to_json,
-)
+from fluctlab.cli import report_csv_header, report_csv_row, report_to_json
+from fluctlab.thermo import RESIDUAL_KEYS
 
 LADDER = Hamiltonian.from_matrix(np.diag(np.linspace(0.0, 1.0, 24)))
 
@@ -70,6 +67,13 @@ class TestInternalEnergyChange:
         # population swap: +(p0 - p1)
         ts = gibbs_state(H01, 1.0)
         assert abs(internal_energy_change(FLIP.apply(ts.state), ts, H01) - DU_FLIP) < 1e-14
+
+    @pytest.mark.parametrize("rho_dim,h_final_dim", [(2, 3), (3, 2)])
+    def test_dimension_mismatch(self, rho_dim, h_final_dim):
+        ts = gibbs_state(H01, 1.0)
+        h_final = Hamiltonian.from_matrix(np.diag(np.arange(float(h_final_dim))))
+        with pytest.raises(DimensionMismatch):
+            internal_energy_change(np.eye(rho_dim) / rho_dim, ts, h_final)
 
     def test_matches_first_moment(self, mixed_artifacts):
         for _, art in mixed_artifacts:
@@ -209,6 +213,7 @@ class TestBuildReport:
                "random-haar": ["f0baff84fb633de8", "ac2511f3d8de59be",
                                "84b70e4998a52587", "3e5b8dcedbbabcd7"]}),
     ])
+    @pytest.mark.dense_digest
     def test_ladder_artifacts_keep_their_bytes(self, beta, digests):
         # a dense channel takes the dense route, whose zgemm rounds per BLAS
         # kernel, so these pins hold on one kernel only
